@@ -11,6 +11,9 @@ and an observed measurement set Z, the posterior is computed by
   prior functional taken at the missed-detection profile, with one increment
   per block; clutter adds an outer sum over the subset of Z explained by the
   clutter process. Evidence is the same sum with no free measurement points.
+  There is one numeric path: the evidence is a signed log-sum-exp over the
+  terms, and each term's numerator is scaled by its weight over the
+  evidence, so evidences far below the smallest double never underflow.
 * posterior_bivariate: a slow numeric oracle that differentiates the joint
   functional of (psi, eta) in both arguments and takes the ratio of
   variations; it exercises the defining limit rather than any closed form.
@@ -39,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import Partition, partitions, subsets
+from .combinatorics import Partition, SubsetSplit, partitions, subsets
 from .finite_pp import (
     NORMALIZATION_TOL,
     FiniteSpace,
@@ -273,37 +276,29 @@ def _check_update_spaces(prior, kernel, clutter) -> None:
 def _signature_counts(
     z_idx: tuple[int, ...],
     m_cap: int | None,
-    with_clutter: bool,
+    with_clutter: bool = True,
 ) -> Counter:
     """Multiset of content signatures over all (subset, partition) terms.
 
-    A signature is the sorted tuple of per-block sorted z-labels, prefixed by
-    the sorted labels handed to clutter when a clutter process participates.
-    Terms with equal signatures have equal values, so only counts are kept.
+    A signature is (clutter part, blocks): the sorted labels handed to
+    clutter and the sorted tuple of per-block sorted z-labels. Without a
+    clutter process only the split that keeps every measurement is walked,
+    so the clutter part is always empty. Terms with equal signatures have
+    equal values, so only counts are kept.
     """
-    counts: Counter = Counter()
     m = len(z_idx)
-
-    def grouped(k: int):
+    splits = subsets(m) if with_clutter else [SubsetSplit(tuple(range(m)), ())]
+    counts: Counter = Counter()
+    for split in splits:
+        dropped = tuple(sorted(z_idx[i] for i in split.dropped))
+        kept = split.kept
         # m_cap = 0 (a kernel that never emits) admits only the empty
         # partition; partitions() itself requires caps >= 1
         if m_cap == 0:
-            if k == 0:
-                yield Partition(())
-            return
-        yield from partitions(k, m_cap)
-
-    if not with_clutter:
-        for part in grouped(m):
-            sig = tuple(
-                sorted(tuple(sorted(z_idx[i] for i in block)) for block in part.blocks)
-            )
-            counts[sig] += 1
-        return counts
-    for split in subsets(m):
-        dropped = tuple(sorted(z_idx[i] for i in split.dropped))
-        kept = split.kept
-        for part in grouped(len(kept)):
+            parts = [] if kept else [Partition(())]
+        else:
+            parts = partitions(len(kept), m_cap)
+        for part in parts:
             sig = tuple(
                 sorted(
                     tuple(sorted(z_idx[kept[i]] for i in block))
@@ -328,39 +323,28 @@ def _denominator_term(prior, p0, block_vecs) -> float:
     return total
 
 
-def _injection_sum(k: int, d: int, base: np.ndarray, block_vecs) -> np.ndarray | float:
+def _injection_sum(
+    k: int, d: int, base: np.ndarray, block_vecs, scale: float = 1.0
+) -> np.ndarray | float:
     """sum over injections sigma of outer products with blocks at sigma-slots.
 
-    Returns sum_{injective sigma:[p]->[k]} tensor with axis sigma(i) carrying
-    block i's vector and every other axis carrying the base vector. Computed
-    from one reference outer product: averaging it over all k! axis orders
-    counts every injection (k-p)! times, so the sum is the symmetrization
-    scaled by k!/(k-p)!.
+    Returns scale times sum_{injective sigma:[p]->[k]} tensor with axis
+    sigma(i) carrying block i's vector and every other axis carrying the base
+    vector. Computed from one reference outer product: averaging it over all
+    k! axis orders counts every injection (k-p)! times, so the sum is the
+    symmetrization scaled by k!/(k-p)!.
     """
     p = len(block_vecs)
     if k == 0:
-        return 1.0
+        return scale
     factors = list(block_vecs) + [base] * (k - p)
     term = factors[0]
     for f in factors[1:]:
         term = np.multiply.outer(term, f)
+    scale = scale * (math.factorial(k) // math.factorial(k - p))
     if p == 0 or k == 1:
-        return term * (math.factorial(k) // math.factorial(k - p))
-    return symmetrize(term) * (math.factorial(k) // math.factorial(k - p))
-
-
-def _numerator_tensors(prior, p0, block_vecs) -> list[np.ndarray]:
-    """Coefficient tensors (in eta) of one partition's numerator term."""
-    d = prior.space.size
-    p = len(block_vecs)
-    out: list[np.ndarray] = []
-    for k in range(prior.n_max + 1):
-        if k < p:
-            out.append(np.zeros((d,) * k))
-            continue
-        inj = _injection_sum(k, d, p0, block_vecs)
-        out.append(np.asarray(prior.tensors[k] * inj))
-    return out
+        return term * scale
+    return symmetrize(term) * scale
 
 
 def _intensity_term(prior, p0, block_vecs) -> np.ndarray:
@@ -401,25 +385,25 @@ def _partition_engine(
     kernel: ObservationKernel,
     Z: MeasurementSet,
     clutter: MultiObjectDensity | None,
-    *,
-    want_density: bool,
-    want_intensity: bool,
-    log_domain: bool,
     prune: bool,
-):
-    """Shared evaluation of the partition-sum update.
+) -> tuple[float, list[tuple[float, list[np.ndarray]]]]:
+    """Log evidence and the normalized terms of the partition-sum update.
 
-    Returns (tensors or None, intensity or None, log_evidence). In the
-    log-domain path the posterior is assembled as a mixture: each signature
-    is normalized by its own denominator term and weighted by
-    exp(log term - log evidence), so tiny evidences never underflow.
+    Each distinct signature is one term. Its weight w is the signature count
+    times the clutter density of its clutter part, and its denominator den is
+    the variation of the prior functional at the missed-detection profile
+    with one increment per block. The evidence sum w * den is a log-sum-exp
+    over log|w| + log|den| that carries each term's sign, so evidences far
+    below the smallest double do not underflow. Returns the log evidence
+    and, in sorted signature order, (w / evidence, block vectors) for every
+    term; a term whose denominator is 0 is kept, since its numerator need
+    not vanish.
     """
     _check_update_spaces(prior, kernel, clutter)
     z_idx = tuple(kernel.obs_space.indices(Z))
     m_cap = kernel.m_max if prune else None
     counts = _signature_counts(z_idx, m_cap, clutter is not None)
     p0 = kernel.tables[0]
-    d = prior.space.size
 
     vec_cache: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -431,68 +415,27 @@ def _partition_engine(
             vecs.append(vec_cache[content])
         return vecs
 
-    terms = []  # (scaled count*weight, blocks) in sorted signature order
-    for sig in sorted(counts):
-        cnt = float(counts[sig])
-        if clutter is not None:
-            dropped, blocks = sig
-            weight = cnt * _clutter_value(clutter, dropped)
-        else:
-            blocks = sig
-            weight = cnt
+    terms = []  # (weight, block vectors)
+    logs, signs = [], []  # log|weight * den| and its sign, for den != 0
+    for (dropped, blocks), cnt in sorted(counts.items()):
+        weight = cnt * _clutter_value(clutter, dropped)
         if weight == 0.0 or len(blocks) > prior.n_max:
             continue
-        terms.append((weight, blocks))
-
-    num_acc = (
-        [np.zeros((d,) * k) for k in range(prior.n_max + 1)] if want_density else None
-    )
-    int_acc = np.zeros(d) if want_intensity else None
-
-    if not log_domain:
-        evidence = 0.0
-        for weight, blocks in terms:
-            vecs = block_vectors(blocks)
-            evidence += weight * _denominator_term(prior, p0, vecs)
-            if want_density:
-                for k, t in enumerate(_numerator_tensors(prior, p0, vecs)):
-                    num_acc[k] = num_acc[k] + weight * t
-            if want_intensity:
-                int_acc += weight * _intensity_term(prior, p0, vecs)
-        if not evidence > 0.0:
-            raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
-        log_evidence = math.log(evidence)
-        tensors = [t / evidence for t in num_acc] if want_density else None
-        intensity = int_acc / evidence if want_intensity else None
-        return tensors, intensity, log_evidence
-
-    # log-sum-exp path
-    contribution = []
-    for weight, blocks in terms:
         vecs = block_vectors(blocks)
+        terms.append((weight, vecs))
         den = _denominator_term(prior, p0, vecs)
-        if den < 0.0:
-            raise ValueError("log-domain evaluation needs nonnegative terms")
-        if den == 0.0:
-            continue
-        contribution.append((math.log(weight) + math.log(den), den, vecs))
-    if not contribution:
+        if den != 0.0:
+            logs.append(math.log(abs(weight)) + math.log(abs(den)))
+            signs.append(-1.0 if (weight < 0.0) != (den < 0.0) else 1.0)
+    peak = max(logs, default=0.0)
+    total = sum(s * math.exp(v - peak) for s, v in zip(signs, logs))
+    if not total > 0.0:
         raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
-    peak = max(c[0] for c in contribution)
-    log_evidence = peak + math.log(sum(math.exp(c[0] - peak) for c in contribution))
-    for log_term, den, vecs in contribution:
-        w = math.exp(log_term - log_evidence)
-        if want_density:
-            for k, t in enumerate(_numerator_tensors(prior, p0, vecs)):
-                num_acc[k] = num_acc[k] + w * (t / den)
-        if want_intensity:
-            int_acc += w * (_intensity_term(prior, p0, vecs) / den)
-    return (num_acc if want_density else None), int_acc, log_evidence
-
-
-def _finish_posterior(prior, tensors, log_evidence) -> Posterior:
-    density = MultiObjectDensity(prior.space, tensors, symmetrize_input=True)
-    return Posterior(density, density.intensity_vector(), log_evidence)
+    log_evidence = peak + math.log(total)
+    return log_evidence, [
+        (math.copysign(math.exp(math.log(abs(w)) - log_evidence), w), vecs)
+        for w, vecs in terms
+    ]
 
 
 def posterior_partition(
@@ -500,7 +443,6 @@ def posterior_partition(
     kernel: ObservationKernel,
     Z: MeasurementSet,
     *,
-    log_domain: bool = False,
     prune: bool = True,
 ) -> Posterior:
     """Partition-sum Bayes update without clutter.
@@ -509,12 +451,7 @@ def posterior_partition(
     density (differentiate-the-posterior path); posterior_intensity evaluates
     the same quantity from the partition sum directly.
     """
-    tensors, _, log_evidence = _partition_engine(
-        prior, kernel, Z, None,
-        want_density=True, want_intensity=False,
-        log_domain=log_domain, prune=prune,
-    )
-    return _finish_posterior(prior, tensors, log_evidence)
+    return posterior_partition_clutter(prior, kernel, None, Z, prune=prune)
 
 
 def posterior_intensity(
@@ -522,55 +459,51 @@ def posterior_intensity(
     kernel: ObservationKernel,
     Z: MeasurementSet,
     *,
-    log_domain: bool = False,
     prune: bool = True,
 ) -> np.ndarray:
     """Posterior intensity from the partition sum (no density assembly)."""
-    _, intensity, _ = _partition_engine(
-        prior, kernel, Z, None,
-        want_density=False, want_intensity=True,
-        log_domain=log_domain, prune=prune,
-    )
-    return intensity
+    return posterior_intensity_clutter(prior, kernel, None, Z, prune=prune)
 
 
 def posterior_partition_clutter(
     prior: MultiObjectDensity,
     kernel: ObservationKernel,
-    clutter: MultiObjectDensity,
+    clutter: MultiObjectDensity | None,
     Z: MeasurementSet,
     *,
-    log_domain: bool = False,
     prune: bool = True,
 ) -> Posterior:
     """Partition-sum update with an independent clutter process.
 
     Sums over the subset of Z attributed to objects; the complement is
-    weighted by the clutter process's density at those points.
+    weighted by the clutter process's density at those points. clutter=None
+    means no clutter process: every measurement comes from an object.
     """
-    tensors, _, log_evidence = _partition_engine(
-        prior, kernel, Z, clutter,
-        want_density=True, want_intensity=False,
-        log_domain=log_domain, prune=prune,
-    )
-    return _finish_posterior(prior, tensors, log_evidence)
+    log_evidence, terms = _partition_engine(prior, kernel, Z, clutter, prune)
+    p0 = kernel.tables[0]
+    d = prior.space.size
+    tensors = [np.zeros((d,) * k) for k in range(prior.n_max + 1)]
+    for scale, vecs in terms:
+        for k in range(len(vecs), prior.n_max + 1):
+            tensors[k] += prior.tensors[k] * _injection_sum(k, d, p0, vecs, scale)
+    density = MultiObjectDensity(prior.space, tensors, symmetrize_input=True)
+    return Posterior(density, density.intensity_vector(), log_evidence)
 
 
 def posterior_intensity_clutter(
     prior: MultiObjectDensity,
     kernel: ObservationKernel,
-    clutter: MultiObjectDensity,
+    clutter: MultiObjectDensity | None,
     Z: MeasurementSet,
     *,
-    log_domain: bool = False,
     prune: bool = True,
 ) -> np.ndarray:
     """Posterior intensity under clutter, from the partition sum directly."""
-    _, intensity, _ = _partition_engine(
-        prior, kernel, Z, clutter,
-        want_density=False, want_intensity=True,
-        log_domain=log_domain, prune=prune,
-    )
+    _, terms = _partition_engine(prior, kernel, Z, clutter, prune)
+    p0 = kernel.tables[0]
+    intensity = np.zeros(prior.space.size)
+    for scale, vecs in terms:
+        intensity += scale * _intensity_term(prior, p0, vecs)
     return intensity
 
 
@@ -584,10 +517,10 @@ def _poisson_partition_terms(mu, kernel, z_idx, prune: bool):
     m_cap = kernel.m_max if prune else None
     counts = _signature_counts(z_idx, m_cap, with_clutter=False)
     terms = []
-    for sig in sorted(counts):
-        vecs = [kernel.group_vector(content) for content in sig]
+    for (_, blocks), cnt in sorted(counts.items()):
+        vecs = [kernel.group_vector(content) for content in blocks]
         scalars = [float(mu @ v) for v in vecs]
-        terms.append((float(counts[sig]), vecs, scalars))
+        terms.append((float(cnt), vecs, scalars))
     return terms
 
 

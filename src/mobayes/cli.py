@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -34,8 +35,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
     if args.seed is not None:
         scenario.seed = args.seed
-    if args.log_domain:
-        scenario.log_domain = True
     records, failed_step = run(scenario, args.out_dir)
     if failed_step is not None:
         print(
@@ -61,11 +60,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
     measurements = [z for z in args.measurements.split(",") if z] if args.measurements else []
     try:
         post = posterior_partition_clutter(
-            scenario.prior,
-            scenario.kernel,
-            scenario.clutter,
-            measurements,
-            log_domain=args.log_domain or scenario.log_domain,
+            scenario.prior, scenario.kernel, scenario.clutter, measurements
         )
     except ZeroEvidence:
         print(
@@ -103,8 +98,16 @@ def _cmd_partitions(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the documented code, instead of argparse's 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mobayes",
         description="Exact multi-object Bayes filtering on finite spaces",
     )
@@ -114,9 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="scenario JSON path")
     p_run.add_argument("--out-dir", required=True, help="directory for run.csv / summary.json")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument(
-        "--log-domain", action="store_true", help="accumulate evidence in log space"
-    )
     p_run.set_defaults(fn=_cmd_run)
 
     p_up = sub.add_parser("update", help="single Bayes update, posterior to stdout")
@@ -126,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma-separated measurement labels, e.g. u,v,u (empty for none)",
     )
-    p_up.add_argument("--log-domain", action="store_true")
     p_up.set_defaults(fn=_cmd_update)
 
     p_ver = sub.add_parser("verify", help="run the property-check suites")

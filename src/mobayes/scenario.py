@@ -78,7 +78,6 @@ class Scenario:
     birth: MultiObjectDensity
     steps: int
     seed: int
-    log_domain: bool
     max_dropped: float
     raw: dict = field(repr=False)
 
@@ -158,11 +157,16 @@ def _kernel_from_spec(
 def load_config(doc: dict | str | os.PathLike) -> Scenario:
     """Validate a scenario document (dict, JSON text, or file path)."""
     if isinstance(doc, (str, os.PathLike)):
-        text = (
-            doc
-            if isinstance(doc, str) and doc.lstrip().startswith("{")
-            else open(doc, "r", encoding="utf-8").read()
-        )
+        if isinstance(doc, str) and doc.lstrip().startswith("{"):
+            text = doc
+        else:
+            try:
+                with open(doc, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(
+                    f"cannot read config file {os.fspath(doc)!r}: {exc}"
+                ) from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -246,7 +250,6 @@ def load_config(doc: dict | str | os.PathLike) -> Scenario:
         birth=birth,
         steps=steps,
         seed=seed,
-        log_domain=bool(doc.get("log_domain", False)),
         max_dropped=max_dropped,
         raw=doc,
     )
@@ -381,11 +384,7 @@ def run(
         predicted = predicted.scaled(1.0 / predicted.total_mass())
         try:
             post = posterior_partition_clutter(
-                predicted,
-                scenario.kernel,
-                scenario.clutter,
-                list(z),
-                log_domain=scenario.log_domain,
+                predicted, scenario.kernel, scenario.clutter, list(z)
             )
         except ZeroEvidence:
             failed_step = k
@@ -427,7 +426,6 @@ def write_outputs(
         "state_labels": list(labels),
         "obs_labels": list(scenario.obs_space.labels),
         "n_max": scenario.n_max,
-        "log_domain": scenario.log_domain,
         "completed_steps": len(records) - 1,
         "zero_evidence_step": failed_step,
         "total_log_evidence": sum(r.log_evidence for r in records),

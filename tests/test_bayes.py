@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mobayes import (
+    FiniteSpace,
     MultiObjectDensity,
     ObservationKernel,
     PoissonSpec,
@@ -226,16 +227,6 @@ class TestPartitionUpdate:
         for got, want in zip(post.density.tensors, unnorm):
             np.testing.assert_allclose(got, want / den, atol=1e-13)
 
-    def test_log_domain_agrees_with_linear(self):
-        rng = np.random.default_rng(75)
-        prior = random_density(rng, space(2), 3)
-        kernel = random_kernel(rng, space(2), space(2, "z"), 2)
-        Z = ["za", "zb", "zb"]
-        lin = posterior_partition(prior, kernel, Z)
-        log = posterior_partition(prior, kernel, Z, log_domain=True)
-        assert tensor_gap(lin.density, log.density) < 1e-12
-        np.testing.assert_allclose(lin.log_evidence, log.log_evidence, atol=1e-12)
-
     def test_measurement_order_bitwise_invariant(self):
         rng = np.random.default_rng(76)
         prior = random_density(rng, space(2), 3)
@@ -269,14 +260,12 @@ class TestPartitionUpdate:
         b = posterior_partition(scaled, kernel, Z)
         assert tensor_gap(a.density, b.density) < 1e-12
 
-    def test_zero_evidence_in_both_domains(self):
+    def test_zero_evidence_raised(self):
         rng = np.random.default_rng(79)
         prior = random_density(rng, space(2), 1)
         kernel = random_kernel(rng, space(2), space(2, "z"), 1)
-        Z = ["za"] * 3
-        for kwargs in ({}, {"log_domain": True}):
-            with pytest.raises(ZeroEvidence):
-                posterior_partition(prior, kernel, Z, **kwargs)
+        with pytest.raises(ZeroEvidence):
+            posterior_partition(prior, kernel, ["za"] * 3)
 
 
 class TestIntensity:
@@ -364,17 +353,21 @@ class TestClutterUpdate:
             post.log_evidence, math.log(float(clutter.tensors[3][idx])), atol=1e-12
         )
 
-    def test_log_domain_with_clutter(self):
-        rng = np.random.default_rng(85)
-        X, Zs = space(2), space(2, "z")
-        prior = random_density(rng, X, 2)
-        kernel = random_kernel(rng, X, Zs, 2)
-        clutter = random_poisson_clutter(rng, Zs)
-        Z = ["za", "za", "zb"]
-        lin = posterior_partition_clutter(prior, kernel, clutter, Z)
-        log = posterior_partition_clutter(prior, kernel, clutter, Z, log_domain=True)
-        assert tensor_gap(lin.density, log.density) < 1e-12
-        np.testing.assert_allclose(lin.log_evidence, log.log_evidence, atol=1e-12)
+    def test_evidence_below_the_smallest_float(self):
+        """One sure object whose only emission and the only clutter point
+        both have density 1e-200: the evidence 2e-400 underflows a double,
+        but its log and the posterior are exact."""
+        X, Zs = space(1), FiniteSpace(("u", "v"))
+        prior = MultiObjectDensity(X, [0.0, [1.0]])
+        kernel = ObservationKernel.from_detection(
+            X, Zs, [1.0], np.array([[1e-200, 1.0 - 1e-200]])
+        )
+        clutter = poisson(PoissonSpec(np.array([1e-200, 0.0])), Zs, n_max=1)
+        post = posterior_partition_clutter(prior, kernel, clutter, ["u", "u"])
+        np.testing.assert_allclose(
+            post.log_evidence, math.log(2) + 2 * math.log(1e-200), rtol=0, atol=1e-12
+        )
+        assert tensor_gap(post.density, prior) < 1e-12
 
 
 class TestPoissonClosedForms:

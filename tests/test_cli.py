@@ -62,6 +62,15 @@ class TestLoadConfig:
         path.write_text(text)
         assert load_config(path).seed == 4242
 
+    def test_unreadable_file_names_the_path(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(ConfigError, match="missing.json"):
+            load_config(missing)
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError, match="binary.json"):
+            load_config(binary)
+
     def test_version_gate(self):
         with pytest.raises(ConfigError):
             load_config(base_config(version=99))
@@ -181,16 +190,6 @@ class TestRun:
         assert failed == 2
         assert len(records) == 2  # prior plus the one successful step
 
-    def test_log_domain_matches_linear_run(self):
-        sc_lin = load_config(base_config(steps=4))
-        sc_log = load_config(base_config(steps=4, log_domain=True))
-        r_lin, _ = run(sc_lin)
-        r_log, _ = run(sc_log)
-        for a, b in zip(r_lin, r_log):
-            assert a.measurements == b.measurements
-            np.testing.assert_allclose(a.intensity, b.intensity, atol=1e-11)
-            np.testing.assert_allclose(a.log_evidence, b.log_evidence, atol=1e-11)
-
     def test_clutter_only_scenario_keeps_intensity_at_zero(self):
         doc = base_config(
             prior={"kind": "explicit", "tensors": [1.0, [0.0, 0.0], [[0.0] * 2] * 2, [[[0.0] * 2] * 2] * 2]},
@@ -309,6 +308,34 @@ class TestCommandLine:
         code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_run_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = main(["run", "--config", str(missing), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "missing.json" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "c.json", "--out-dir", "out", "--no-such-flag"],
+            ["run", "--out-dir", "out"],
+            ["frobnicate"],
+        ],
+        ids=["unknown-flag", "missing-required-flag", "unknown-subcommand"],
+    )
+    def test_usage_errors_exit_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--out-dir" in capsys.readouterr().out
 
     def test_update_subcommand_emits_posterior_json(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"
