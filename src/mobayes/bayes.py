@@ -14,6 +14,9 @@ and an observed measurement set Z, the posterior is computed by
   There is one numeric path: the evidence is a signed log-sum-exp over the
   terms, and each term's numerator is scaled by its weight over the
   evidence, so evidences far below the smallest double never underflow.
+  Every variation is one call of finite_pp.contract, and the numerator
+  tensors are plain sums that the MultiObjectDensity constructor
+  symmetrizes once.
 * posterior_bivariate: a slow numeric oracle that differentiates the joint
   functional of (psi, eta) in both arguments and takes the ratio of
   variations; it exercises the defining limit rather than any closed form.
@@ -34,6 +37,7 @@ variation collapses to a product of scalars mu[P_block].
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -49,9 +53,10 @@ from .finite_pp import (
     MultiObjectDensity,
     PoissonSpec,
     _as_test_function,
+    contract,
     evaluate,
     poisson as poisson_density,
-    symmetrize,
+    symmetrize,  # unused here; bench/spans.py wraps mobayes.bayes.symmetrize
     symmetrize_axes,
 )
 from .functional_calculus import numeric_differential
@@ -309,42 +314,23 @@ def _signature_counts(
     return counts
 
 
-def _denominator_term(prior, p0, block_vecs) -> float:
-    """delta^p G_prior at psi = p0 with the block vectors as increments."""
-    p = len(block_vecs)
-    total = 0.0
-    for n in range(p, prior.n_max + 1):
-        t = prior.tensors[n]
-        for v in block_vecs:
-            t = np.tensordot(v, t, axes=(0, 0))
-        for _ in range(n - p):
-            t = t @ p0
-        total += float(t) / math.factorial(n - p)
-    return total
-
-
 def _injection_sum(
-    k: int, d: int, base: np.ndarray, block_vecs, scale: float = 1.0
+    k: int, base: np.ndarray, block_vecs, scale: float = 1.0
 ) -> np.ndarray | float:
-    """sum over injections sigma of outer products with blocks at sigma-slots.
+    """Sum over injections sigma of outer products, up to symmetrization.
 
-    Returns scale times sum_{injective sigma:[p]->[k]} tensor with axis
-    sigma(i) carrying block i's vector and every other axis carrying the base
-    vector. Computed from one reference outer product: averaging it over all
-    k! axis orders counts every injection (k-p)! times, so the sum is the
-    symmetrization scaled by k!/(k-p)!.
+    The sum over injective sigma:[p]->[k] puts block i's vector on axis
+    sigma(i) and the base vector on every other axis. It has the same
+    symmetrization as k!/(k-p)! times one reference outer product, which is
+    returned (times scale) unsymmetrized: callers only add it, times a
+    symmetric prior tensor, into sums that MultiObjectDensity(...,
+    symmetrize_input=True) symmetrizes once.
     """
     p = len(block_vecs)
     if k == 0:
         return scale
-    factors = list(block_vecs) + [base] * (k - p)
-    term = factors[0]
-    for f in factors[1:]:
-        term = np.multiply.outer(term, f)
-    scale = scale * (math.factorial(k) // math.factorial(k - p))
-    if p == 0 or k == 1:
-        return term * scale
-    return symmetrize(term) * scale
+    term = functools.reduce(np.multiply.outer, list(block_vecs) + [base] * (k - p))
+    return term * (scale * (math.factorial(k) // math.factorial(k - p)))
 
 
 def _intensity_term(prior, p0, block_vecs) -> np.ndarray:
@@ -355,28 +341,10 @@ def _intensity_term(prior, p0, block_vecs) -> np.ndarray:
     p-th variation with block i's increment localized at the query point and
     weighted by that block's density there.
     """
-    d = prior.space.size
-    p = len(block_vecs)
-    appended = np.zeros(d)
-    for n in range(p + 1, prior.n_max + 1):
-        t = prior.tensors[n]
-        for v in block_vecs:
-            t = np.tensordot(v, t, axes=(0, 0))
-        while t.ndim > 1:
-            t = t @ p0
-        appended += t / math.factorial(n - p - 1)
-    total = p0 * appended
-    for i in range(p):
+    total = p0 * contract(prior.tensors, block_vecs, p0, free=1)
+    for i, v in enumerate(block_vecs):
         others = block_vecs[:i] + block_vecs[i + 1 :]
-        freed = np.zeros(d)
-        for n in range(p, prior.n_max + 1):
-            t = prior.tensors[n]
-            for v in others:
-                t = np.tensordot(v, t, axes=(0, 0))
-            while t.ndim > 1:
-                t = t @ p0
-            freed += t / math.factorial(n - p)
-        total += block_vecs[i] * freed
+        total += v * contract(prior.tensors, others, p0, free=1)
     return total
 
 
@@ -423,7 +391,7 @@ def _partition_engine(
             continue
         vecs = block_vectors(blocks)
         terms.append((weight, vecs))
-        den = _denominator_term(prior, p0, vecs)
+        den = float(contract(prior.tensors, vecs, p0))
         if den != 0.0:
             logs.append(math.log(abs(weight)) + math.log(abs(den)))
             signs.append(-1.0 if (weight < 0.0) != (den < 0.0) else 1.0)
@@ -485,7 +453,7 @@ def posterior_partition_clutter(
     tensors = [np.zeros((d,) * k) for k in range(prior.n_max + 1)]
     for scale, vecs in terms:
         for k in range(len(vecs), prior.n_max + 1):
-            tensors[k] += prior.tensors[k] * _injection_sum(k, d, p0, vecs, scale)
+            tensors[k] += prior.tensors[k] * _injection_sum(k, p0, vecs, scale)
     density = MultiObjectDensity(prior.space, tensors, symmetrize_input=True)
     return Posterior(density, density.intensity_vector(), log_evidence)
 
@@ -563,7 +531,7 @@ def poisson_posterior(
             if len(vecs) > k:
                 continue
             acc = acc + cnt * np.asarray(
-                _injection_sum(k, d, nu, [mu * v for v in vecs])
+                _injection_sum(k, nu, [mu * v for v in vecs])
             )
         tensors.append(scale * acc)
     density = MultiObjectDensity(

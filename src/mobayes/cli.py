@@ -9,7 +9,9 @@ Subcommands:
   partitions debug enumeration of set partitions
 
 Exit codes: 0 success, 1 usage or validation trouble, 2 a run hit a
-measurement set with zero likelihood (the failing step is reported).
+measurement set with zero likelihood (the failing step is reported), 3 a
+run's prediction dropped more mass past n_max than transition.max_dropped
+allows (the failing step is reported).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .bayes import ZeroEvidence, posterior_partition_clutter
 from .combinatorics import partitions
+from .finite_pp import TruncationOverflow
 from .scenario import ConfigError, load_config, run
 from .verify import format_report, run_checks
 
@@ -35,7 +38,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
     if args.seed is not None:
         scenario.seed = args.seed
-    records, failed_step = run(scenario, args.out_dir)
+    try:
+        records, failed_step = run(scenario, args.out_dir)
+    except TruncationOverflow as exc:
+        print(f"truncation overflow at step {exc.step}: {exc}", file=sys.stderr)
+        return 3
     if failed_step is not None:
         print(
             f"zero evidence at step {failed_step}: the configured model cannot"
@@ -98,6 +105,14 @@ def _cmd_partitions(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generator takes only nonnegative integers."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, the documented code, instead of argparse's 2."""
 
@@ -116,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate and filter a scenario")
     p_run.add_argument("--config", required=True, help="scenario JSON path")
     p_run.add_argument("--out-dir", required=True, help="directory for run.csv / summary.json")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_run.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p_run.set_defaults(fn=_cmd_run)
 
     p_up = sub.add_parser("update", help="single Bayes update, posterior to stdout")

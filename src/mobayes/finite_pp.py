@@ -7,15 +7,19 @@ shape (d,)*n and the functional value at a test function psi is
     G(psi) = sum_n (1/n!) sum_{x_1..x_n} p_n(x_1..x_n) psi(x_1)...psi(x_n).
 
 All integrals are sums under the counting measure, so a Dirac increment is
-just a one-hot vector. Tensors are kept exactly symmetric: construction
-routes every array through an orbit canonicalizer that assigns one value per
-index multiset, so permutation identities hold bitwise, not merely to
-round-off.
+just a one-hot vector. Tensors are kept exactly symmetric, and the
+constructor is the one place that enforces it: symmetrize_input=True routes
+every array through an orbit canonicalizer that assigns one value per index
+multiset, so permutation identities hold bitwise, not merely to round-off.
+Code that assembles tensors hands the constructor plain sums. contract() is
+the one coefficient contraction the engines share; evaluate() stays separate
+for the oracles.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,9 +34,10 @@ POISSON_N_MAX_CAP = 16
 class TruncationOverflow(RuntimeError):
     """Probability mass past the cardinality cap exceeded the tolerance."""
 
-    def __init__(self, message: str, dropped: float):
+    def __init__(self, message: str, dropped: float, step: int | None = None):
         super().__init__(message)
         self.dropped = dropped
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -260,6 +265,27 @@ def evaluate(P: MultiObjectDensity, psi: np.ndarray | Sequence[float]) -> float:
     return total
 
 
+def contract(tensors, increments, base: np.ndarray, free: int = 0) -> np.ndarray:
+    """sum_n c_n[increments, base^(n-k-free)] / (n-k-free)!, free axes open.
+
+    With free=0 this is the k-th variation at base of sum_n (1/n!) c_n[psi^n].
+    n is each tensor's axis count, not its list position. Increments, then
+    base, are contracted on leading axes through 2-D views, so the free axes
+    are the trailing ones.
+    """
+    k = len(increments)
+    last = tensors[-1]
+    total = np.zeros(last.shape[last.ndim - free :])
+    for t in tensors:
+        r = t.ndim - k - free
+        if r < 0:
+            continue
+        for v in itertools.chain(increments, [base] * r):
+            t = v @ t.reshape(v.size, -1)
+        total = total + t.reshape(total.shape) / math.factorial(r)
+    return total
+
+
 def differentiate(P: MultiObjectDensity, x: str | int) -> MultiObjectDensity:
     """Differential along a Dirac at x, as a coefficient shift.
 
@@ -345,9 +371,9 @@ def poisson(
     outer: np.ndarray | None = None
     for n in range(1, n_max + 1):
         outer = mu.copy() if outer is None else np.multiply.outer(outer, mu)
-        tensors.append(symmetrize(outer * scale))
+        tensors.append(outer * scale)
     return MultiObjectDensity(
-        space, tensors, truncation_mass=_poisson_tail(lam, n_max)
+        space, tensors, symmetrize_input=True, truncation_mass=_poisson_tail(lam, n_max)
     )
 
 
@@ -366,30 +392,26 @@ def bernoulli(
 def superpose(P1: MultiObjectDensity, P2: MultiObjectDensity) -> MultiObjectDensity:
     """Coefficients of the product functional G_1(psi) G_2(psi).
 
-    t_k(x_1..x_k) = sum over subsets A of {1..k} of p_{|A|}(x_A) r_{k-|A|}(x_rest),
-    truncated at min(n_max1, n_max2); the dropped product mass is recorded
-    (total masses multiply exactly for the untruncated product).
+    t_k is the symmetrization of sum_j C(k, j) p_j (x) r_{k-j}, truncated at
+    max(n_max1, n_max2) with the shorter family's missing tensors taken as
+    zero, so superposing with the empty process returns the other density.
+    The mass of the products dropped past the cap, where the cardinalities
+    j + l exceed it, is added to both inputs' truncation masses.
     """
     if P1.space.labels != P2.space.labels:
         raise ValueError("superpose requires a common space")
-    from itertools import combinations
-
-    k_max = min(P1.n_max, P2.n_max)
+    k_max = max(P1.n_max, P2.n_max)
     d = P1.space.size
+    p, r = P1.tensors, P2.tensors
     tensors: list[np.ndarray] = []
     for k in range(k_max + 1):
         acc = np.zeros((d,) * k)
-        for j in range(k + 1):
-            if j > P1.n_max or k - j > P2.n_max:
-                continue
-            base = np.multiply.outer(P1.tensors[j], P2.tensors[k - j])
-            for axes in combinations(range(k), j):
-                acc += np.moveaxis(base, range(j), axes)
+        for j in range(max(0, k - P2.n_max), min(k, P1.n_max) + 1):
+            acc += math.comb(k, j) * np.multiply.outer(p[j], r[k - j])
         tensors.append(acc)
-    result = MultiObjectDensity(P1.space, tensors, symmetrize_input=True)
-    full = P1.total_mass() * P2.total_mass()
-    dropped = max(0.0, full - result.total_mass())
-    result.truncation_mass = (
-        P1.truncation_mass + P2.truncation_mass + dropped
+    c1, c2 = P1.cardinality_distribution(), P2.cardinality_distribution()
+    dropped = sum(float(c1[j] * c2[k_max + 1 - j :].sum()) for j in range(c1.size))
+    mass = P1.truncation_mass + P2.truncation_mass + max(0.0, dropped)
+    return MultiObjectDensity(
+        P1.space, tensors, symmetrize_input=True, truncation_mass=mass
     )
-    return result

@@ -25,6 +25,7 @@ import numpy as np
 
 from .combinatorics import partitions, subsets
 from .finite_pp import FiniteSpace, MultiObjectDensity, _as_test_function
+from .finite_pp import contract, evaluate, symmetrize_axes
 
 MAX_NUMERIC_ORDER = 4
 MAX_PARTITION_ORDER = 6
@@ -43,29 +44,6 @@ class BlackBoxFunctional:
         return float(self.fn(np.asarray(psi, dtype=float)))
 
 
-def _coefficient_variation(
-    tensors: Sequence[np.ndarray],
-    psi: np.ndarray,
-    increments: Sequence[np.ndarray],
-) -> float:
-    """Exact variation of a coefficient family.
-
-    For tensors c_n of a functional sum_n (1/n!) c_n[psi^n], the k-th
-    variation at psi with increments eta_1..eta_k is
-    sum_{n >= k} (1/(n-k)!) c_n[eta_1, ..., eta_k, psi^(n-k)].
-    """
-    k = len(increments)
-    total = 0.0
-    for n in range(k, len(tensors)):
-        t = tensors[n]
-        for inc in increments:
-            t = np.tensordot(inc, t, axes=(0, 0))
-        for _ in range(n - k):
-            t = t @ psi
-        total += float(t) / math.factorial(n - k)
-    return total
-
-
 class TensorFunctional:
     """Exact functional backed by stored coefficient tensors."""
 
@@ -74,14 +52,13 @@ class TensorFunctional:
         self.space = density.space
 
     def value(self, psi: np.ndarray) -> float:
-        from .finite_pp import evaluate
-
         return evaluate(self.density, psi)
 
     def variation(self, psi: np.ndarray, increments: Sequence[Increment]) -> float:
+        """sum_{n >= k} (1/(n-k)!) c_n[eta_1, ..., eta_k, psi^(n-k)]."""
         psi = _as_test_function(self.space, psi)
         incs = [_as_test_function(self.space, e) for e in increments]
-        return _coefficient_variation(self.density.tensors, psi, incs)
+        return float(contract(self.density.tensors, incs, psi))
 
     def __call__(self, psi: np.ndarray) -> float:
         return self.value(psi)
@@ -119,6 +96,8 @@ class TensorMap:
     axes; the map sends psi on the input space to the vector
     g(psi) = sum_j (1/j!) c_j[psi^j] on the output space. Variations follow
     the same coefficient-shift rule as scalar functionals, one free axis kept.
+    The coefficients are stored with the output axis moved last, where
+    finite_pp.contract leaves its free axis.
     """
 
     def __init__(
@@ -127,8 +106,6 @@ class TensorMap:
         space_out: FiniteSpace,
         coefficients: Sequence[np.ndarray],
     ):
-        from .finite_pp import symmetrize_axes
-
         self.space_in = space_in
         self.space_out = space_out
         fixed = []
@@ -137,7 +114,8 @@ class TensorMap:
             want = (space_out.size,) + (space_in.size,) * j
             if arr.shape != want:
                 raise ValueError(f"coefficient {j} has shape {arr.shape}, expected {want}")
-            fixed.append(symmetrize_axes(arr, [tuple(range(1, j + 1))]))
+            arr = symmetrize_axes(arr, [tuple(range(1, j + 1))])
+            fixed.append(np.ascontiguousarray(np.moveaxis(arr, 0, -1)))
         self.coefficients = fixed
 
     def value(self, psi: np.ndarray) -> np.ndarray:
@@ -146,16 +124,7 @@ class TensorMap:
     def variation(self, psi: np.ndarray, increments: Sequence[Increment]) -> np.ndarray:
         psi = _as_test_function(self.space_in, psi)
         incs = [_as_test_function(self.space_in, e) for e in increments]
-        k = len(incs)
-        total = np.zeros(self.space_out.size)
-        for j in range(k, len(self.coefficients)):
-            t = self.coefficients[j]
-            for inc in incs:
-                t = np.tensordot(inc, t, axes=(0, 1))
-            for _ in range(j - k):
-                t = t @ psi
-            total = total + t / math.factorial(j - k)
-        return total
+        return contract(self.coefficients, incs, psi, free=1)
 
 
 def numeric_differential(

@@ -17,6 +17,7 @@ byte-identical too.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -33,6 +34,7 @@ from .finite_pp import (
     FiniteSpace,
     MultiObjectDensity,
     PoissonSpec,
+    TruncationOverflow,
     bernoulli,
     poisson,
 )
@@ -87,6 +89,13 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _integer(doc: dict, key: str, default: int, field: str | None = None) -> int:
+    """doc[key] as a JSON integer (not a bool, float or string), else ConfigError."""
+    value = doc.get(key, default)
+    _require(type(value) is int, f"{field or key} must be an integer, got {value!r}")
+    return value
+
+
 def _labels(raw: Any, key: str) -> tuple[str, ...]:
     _require(isinstance(raw, list) and raw, f"{key} must be a non-empty list")
     _require(all(isinstance(s, str) for s in raw), f"{key} entries must be strings")
@@ -102,7 +111,7 @@ def _density_from_spec(
         if kind == "poisson":
             rate = np.asarray(spec["intensity"], dtype=float)
             tail = float(spec.get("tail_tol", 1e-9))
-            cap = int(spec.get("n_max", n_max))
+            cap = _integer(spec, "n_max", n_max, f"{key}.n_max")
             dens = poisson(PoissonSpec(rate, tail_tol=tail), sp, cap)
             # conditioned on the cardinality cap, so it is exactly normalized
             return dens.scaled(1.0 / dens.total_mass())
@@ -172,7 +181,7 @@ def load_config(doc: dict | str | os.PathLike) -> Scenario:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "config must be a JSON object")
-    version = doc.get("version", CONFIG_VERSION)
+    version = _integer(doc, "version", CONFIG_VERSION)
     _require(version == CONFIG_VERSION, f"unsupported config version {version!r}")
 
     try:
@@ -182,7 +191,7 @@ def load_config(doc: dict | str | os.PathLike) -> Scenario:
         raise
     except ValueError as exc:
         raise ConfigError(f"labels: {exc}") from exc
-    n_max = int(doc.get("n_max", -1))
+    n_max = _integer(doc, "n_max", -1)
     _require(n_max >= 0, "n_max must be a nonnegative integer")
 
     prior = _density_from_spec(doc.get("prior"), state_space, n_max, "prior")
@@ -193,7 +202,7 @@ def load_config(doc: dict | str | os.PathLike) -> Scenario:
     _require(prior.is_normalized(), "prior is not normalized")
 
     kernel = _kernel_from_spec(doc.get("kernel"), state_space, obs_space, "kernel")
-    m_max = int(doc.get("m_max", kernel.m_max))
+    m_max = _integer(doc, "m_max", kernel.m_max)
     _require(
         m_max == kernel.m_max,
         f"kernel tables define m_max={kernel.m_max}, config says {m_max}",
@@ -206,7 +215,12 @@ def load_config(doc: dict | str | os.PathLike) -> Scenario:
 
     tr = doc.get("transition")
     _require(isinstance(tr, dict), "transition block is required")
-    max_dropped = float(tr.get("max_dropped", 1e-6))
+    max_dropped = tr.get("max_dropped", 1e-6)
+    _require(
+        type(max_dropped) in (int, float) and 0 <= max_dropped < math.inf,
+        f"transition.max_dropped must be a finite number >= 0, got {max_dropped!r}",
+    )
+    max_dropped = float(max_dropped)
     try:
         birth = _density_from_spec(
             tr.get("birth", {"kind": "none"}), state_space, n_max, "transition.birth"
@@ -231,9 +245,9 @@ def load_config(doc: dict | str | os.PathLike) -> Scenario:
     except (ValueError, RuntimeError) as exc:
         raise ConfigError(f"transition: {exc}") from exc
 
-    steps = int(doc.get("steps", 0))
+    steps = _integer(doc, "steps", 0)
     _require(steps >= 0, "steps must be nonnegative")
-    seed = int(doc.get("seed", 0))
+    seed = _integer(doc, "seed", 0)
     _require(seed >= 0, "seed must be a nonnegative integer")
 
     return Scenario(
@@ -363,6 +377,7 @@ def run(
 
     Measurements default to a fresh simulate() draw. Returns the records
     plus the step at which evidence hit zero (None when the run finished).
+    A TruncationOverflow from predict propagates with its step set.
     Row 0 describes the prior itself. When out_dir is given, writes
     run.csv and summary.json there.
     """
@@ -380,7 +395,13 @@ def run(
     ]
     failed_step: int | None = None
     for k, z in enumerate(measurement_sets, start=1):
-        predicted = predict(belief, scenario.transition, max_dropped=scenario.max_dropped)
+        try:
+            predicted = predict(
+                belief, scenario.transition, max_dropped=scenario.max_dropped
+            )
+        except TruncationOverflow as exc:
+            exc.step = k
+            raise
         predicted = predicted.scaled(1.0 / predicted.total_mass())
         try:
             post = posterior_partition_clutter(

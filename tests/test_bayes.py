@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import mobayes.finite_pp
 from mobayes import (
     FiniteSpace,
     MultiObjectDensity,
@@ -248,6 +249,24 @@ class TestPartitionUpdate:
         full = posterior_partition(prior, kernel, Z, prune=False)
         for s, t in zip(pruned.density.tensors, full.density.tensors):
             np.testing.assert_array_equal(s, t)
+
+    def test_symmetrizes_once_per_tensor(self, monkeypatch):
+        """Numerators are plain sums: only the posterior's constructor
+        symmetrizes, once per tensor of cardinality two or more."""
+        rng = np.random.default_rng(79)
+        prior = random_density(rng, space(2), 4)
+        kernel = random_kernel(rng, space(2), space(2, "z"), 2)
+        clutter = random_poisson_clutter(rng, space(2, "z"))
+        calls = []
+        original = mobayes.finite_pp.symmetrize_axes
+
+        def counted(arr, groups):
+            calls.append(np.shape(arr))
+            return original(arr, groups)
+
+        monkeypatch.setattr(mobayes.finite_pp, "symmetrize_axes", counted)
+        posterior_partition_clutter(prior, kernel, clutter, ["za", "zb", "za"])
+        assert calls == [(2, 2), (2, 2, 2), (2, 2, 2, 2)]
 
     def test_prior_scaling_invariance(self):
         """An unnormalized prior numerator renormalizes away."""

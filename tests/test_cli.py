@@ -9,6 +9,7 @@ one smoke path so the plumbing is exercised end to end.
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -109,6 +110,35 @@ class TestLoadConfig:
         sc = load_config(base_config(clutter={"kind": "none"}))
         assert sc.clutter.n_max == 0
         assert float(sc.clutter.tensors[0]) == 1.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_max", "x"),
+            ("n_max", [1]),
+            ("n_max", 2.7),
+            ("n_max", True),
+            ("m_max", "x"),
+            ("steps", "x"),
+            ("steps", 2.5),
+            ("seed", 1.5),
+            ("seed", "7"),
+            ("version", True),
+            ("prior.n_max", 2.7),
+            ("transition.max_dropped", "x"),
+            ("transition.max_dropped", float("nan")),
+            ("transition.max_dropped", -1),
+        ],
+    )
+    def test_numbers_are_parsed_strictly(self, field, value):
+        doc = base_config()
+        *path, key = field.split(".")
+        block = doc
+        for name in path:
+            block = block[name]
+        block[key] = value
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_config(doc)
 
     def test_missing_transition_block(self):
         doc = base_config()
@@ -330,6 +360,34 @@ class TestCommandLine:
             main(argv)
         assert exc.value.code == 1
         assert "usage:" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(base_config()))
+        argv = ["run", "--config", str(cfg), "--out-dir", str(tmp_path), "--seed", "-1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--seed" in err
+
+    def test_run_truncation_overflow_exit_code(self, tmp_path):
+        transition = dict(
+            base_config()["transition"],
+            birth={"kind": "poisson", "intensity": [0.5, 0.5]},
+            max_dropped=1e-9,
+        )
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(base_config(n_max=2, transition=transition)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mobayes.cli", "run", "--config", str(cfg),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert "truncation overflow at step 1:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -26,7 +26,8 @@ from mobayes import (
     scalar_product,
     superpose,
 )
-from mobayes.finite_pp import is_symmetric, symmetrize, symmetrize_axes
+from mobayes.finite_pp import contract, is_symmetric, symmetrize, symmetrize_axes
+from mobayes.functional_calculus import numeric_differential
 from mobayes.instances import random_density, space
 
 
@@ -149,6 +150,41 @@ class TestEvaluate:
         P = random_density(rng, space(2), 2)
         with pytest.raises(ValueError):
             evaluate(P, np.ones(3))
+
+
+class TestContract:
+    """The shared contraction kernel against code that does not use it."""
+
+    def test_no_increments_is_evaluate(self):
+        rng = np.random.default_rng(14)
+        for n_max in range(4):
+            P = random_density(rng, space(3), n_max)
+            psi = rng.uniform(-1.0, 1.0, 3)
+            got = contract(P.tensors, [], psi)
+            assert got.shape == ()
+            assert float(got) == pytest.approx(evaluate(P, psi), abs=1e-14)
+
+    def test_one_free_axis_at_one_is_the_intensity(self):
+        rng = np.random.default_rng(15)
+        for n_max in range(1, 5):
+            P = random_density(rng, space(3), n_max)
+            np.testing.assert_allclose(
+                contract(P.tensors, [], np.ones(3), free=1),
+                P.intensity_vector(),
+                atol=1e-14,
+            )
+
+    def test_increments_match_numeric_differential(self):
+        rng = np.random.default_rng(16)
+        for n_max in (2, 3):
+            P = random_density(rng, space(3), n_max)
+            psi = rng.uniform(-0.5, 1.0, 3)
+            for k in (1, 2):
+                incs = [rng.uniform(-1.0, 1.0, 3) for _ in range(k)]
+                want = numeric_differential(lambda f: evaluate(P, f), psi, incs)
+                assert float(contract(P.tensors, incs, psi)) == pytest.approx(
+                    want, abs=1e-10
+                )
 
 
 class TestDifferentiate:
@@ -353,6 +389,24 @@ class TestBernoulliAndSuperpose:
         S = superpose(P, unit)
         for s, t in zip(S.tensors, P.tensors):
             np.testing.assert_allclose(s, t, atol=1e-15)
+
+    def test_superpose_with_unpadded_unit_is_identity(self):
+        rng = np.random.default_rng(34)
+        P = random_density(rng, space(2), 3)
+        S = superpose(P, MultiObjectDensity(P.space, [1.0]))
+        assert S.n_max == P.n_max
+        assert S.truncation_mass == 0.0
+        for s, t in zip(S.tensors, P.tensors):
+            np.testing.assert_allclose(s, t, atol=1e-15)
+
+    def test_superpose_with_bernoulli_keeps_the_larger_cap(self):
+        rng = np.random.default_rng(35)
+        P = random_density(rng, space(2), 3)
+        S = superpose(P, bernoulli(0.4, np.array([0.3, 0.7]), P.space))
+        assert S.n_max == P.n_max
+        np.testing.assert_allclose(
+            S.total_mass() + S.truncation_mass, 1.0, atol=1e-12
+        )
 
     def test_superpose_of_poissons_adds_intensities(self):
         sp = space(2)
