@@ -49,7 +49,7 @@ from .functional_calculus import (
     leibniz,
     numeric_differential,
 )
-from .prediction import TransitionModel, build_multiplicative, predict
+from .prediction import SurviveMoveBirth, TransitionModel, build_multiplicative, predict
 from .scenario import ConfigError, RunRecord, Scenario, load_config, run, simulate
 
 __version__ = "0.1.0"
@@ -69,6 +69,7 @@ __all__ = [
     "RunRecord",
     "Scenario",
     "SubsetSplit",
+    "SurviveMoveBirth",
     "TensorFunctional",
     "TensorMap",
     "TransitionModel",

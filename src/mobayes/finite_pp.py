@@ -191,7 +191,8 @@ class MultiObjectDensity:
         return self.tensors[n]
 
     def total_mass(self) -> float:
-        return evaluate(self, self.space.constant(1.0))
+        """G(1), read off the cardinality distribution; evaluate() is the oracle."""
+        return float(self.cardinality_distribution().sum())
 
     def cardinality_distribution(self) -> np.ndarray:
         return np.array(

@@ -1,21 +1,31 @@
-"""Time prediction of multi-object densities by scalar product.
+"""Time prediction of multi-object densities.
 
-A transition model stores explicit conditional tensors t[m][n] with
-t[m][n][x_1..x_n, y_1..y_m] = density of the n successors (x-tuple) of m
-objects at the y-tuple. Prediction is then one contraction per output
-cardinality:
+The survive-move-birth model (each object survives with probability p_S(y)
+and moves by a column-stochastic matrix M, or vanishes; births superpose
+independently) predicts by composing generating functionals:
 
-    predicted_n(x) = sum_m (1/m!) sum_y t[m][n](x | y) posterior_m(y),
+    G_pred[h] = G_birth[h] * G_post[1 - p_S + p_S (M h)].
 
-the Fock-space scalar product taken in the y argument. The common
-survive-or-die model (each object survives with probability p_S(y), moves by
-a stochastic matrix, independent births superpose) is expanded into these
-tables once by enumerating which predicted objects descend from which prior
-object; after that, predict never special-cases it.
+Its coefficients are the survivor tensors
 
-Tables are dense arrays of d^(n+m) entries, so this module is meant for
-small spaces and low cardinality caps; that is the regime where exactness
-is the point.
+    q_j = move^(x)j applied to sum_k p_k[die^(k-j)] / (k-j)!,
+
+with move = M p_S and die = 1 - p_S, superposed with the birth process.
+SurviveMoveBirth.propagate computes them with one finite_pp.contract per
+survivor count; this is the scenario path.
+
+The general Chapman-Kolmogorov form stores explicit conditional tensors
+t[m][n] with t[m][n][x_1..x_n, y_1..y_m] = density of the n successors
+(x-tuple) of m objects at the y-tuple, and predicts by the Fock-space scalar
+product in the y argument:
+
+    predicted_n(x) = sum_m (1/m!) sum_y t[m][n](x | y) posterior_m(y).
+
+TransitionModel holds such tables. build_multiplicative expands the
+survive-move-birth model into them by enumerating which predicted objects
+descend from which prior object; it is the oracle the composition is tested
+and verified against, not a hot path. Tables are dense arrays of d^(n+m)
+entries, so they are meant for small spaces and low cardinality caps.
 """
 
 from __future__ import annotations
@@ -32,7 +42,9 @@ from .finite_pp import (
     MultiObjectDensity,
     TruncationOverflow,
     _as_test_function,
+    contract,
     scalar_product,
+    superpose,
     symmetrize_axes,
 )
 
@@ -107,6 +119,79 @@ class TransitionModel:
                     " outside the declared truncation budget"
                 )
 
+    def propagate(self, posterior: MultiObjectDensity) -> MultiObjectDensity:
+        """Contract the tables with the posterior tensors in the y argument."""
+        out: list[np.ndarray] = []
+        for n in range(self.n_max + 1):
+            acc = np.zeros((posterior.space.size,) * n)
+            for m in range(posterior.n_max + 1):
+                t = self.tables[m][n]
+                contrib = (
+                    np.tensordot(t, posterior.tensors[m], axes=m) if m else t * float(posterior.tensors[0])
+                )
+                acc = acc + contrib / math.factorial(m)
+            out.append(acc)
+        return MultiObjectDensity(posterior.space, out, symmetrize_input=True)
+
+
+class SurviveMoveBirth:
+    """Survive-or-die motion plus independent birth, as a composition.
+
+    Each object at y survives with probability survival[y] and moves to x
+    with probability motion[x, y], or vanishes; the birth process superposes
+    independently. Predicted cardinalities are capped at n_max, which is
+    also the largest posterior cap accepted (m_max).
+    """
+
+    def __init__(
+        self,
+        survival: np.ndarray | Sequence[float],
+        motion: np.ndarray,
+        birth: MultiObjectDensity,
+        *,
+        n_max: int,
+    ):
+        space = birth.space
+        d = space.size
+        p_s = _as_test_function(space, survival)
+        if np.any(p_s < 0) or np.any(p_s > 1):
+            raise ValueError("survival probabilities must lie in [0, 1]")
+        f = np.asarray(motion, dtype=float)
+        if f.shape != (d, d):
+            raise ValueError("motion must be a (d, d) matrix")
+        if not (np.all(f >= 0) and np.all(np.abs(f.sum(axis=0) - 1.0) <= NORMALIZATION_TOL)):
+            raise ValueError("motion columns must be distributions over successors")
+        if birth.n_max > n_max:
+            raise ValueError("birth process exceeds the requested cardinality cap")
+        self.space = space
+        self.n_max = n_max
+        self.survival = p_s
+        self.motion = f
+        self.birth = birth
+        self.move = f * p_s  # move[x, y] = p_S(y) f(x|y)
+        self.die = 1.0 - p_s
+
+    @property
+    def m_max(self) -> int:
+        return self.n_max
+
+    def propagate(self, posterior: MultiObjectDensity) -> MultiObjectDensity:
+        """Survivor coefficients q_j, padded to n_max, superposed with birth."""
+        d = self.space.size
+        survivors: list[np.ndarray] = []
+        for j in range(self.n_max + 1):
+            if j > posterior.n_max:
+                survivors.append(np.zeros((d,) * j))
+                continue
+            q = contract(posterior.tensors, [], self.die, free=j)
+            for _ in range(j):
+                # contract the leading y axis; its successor x goes last
+                q = q.reshape(d, -1).T @ self.move.T
+            survivors.append(q.reshape((d,) * j))
+        return superpose(
+            MultiObjectDensity(self.space, survivors, symmetrize_input=True), self.birth
+        )
+
 
 def build_multiplicative(
     survival: np.ndarray | Sequence[float],
@@ -127,26 +212,18 @@ def build_multiplicative(
     positions carry the birth density and the unmatched prior objects the
     death probability.
 
+    The inputs are validated by constructing the SurviveMoveBirth model,
+    which computes the same prediction by composition; these tables are its
+    test and verify oracle.
+
     Raises TruncationOverflow if clipping predicted cardinality at n_max
     drops more than max_dropped probability for some y-tuple.
     """
-    space = birth.space
+    model = SurviveMoveBirth(survival, motion, birth, n_max=n_max)
+    space, move, die = model.space, model.move, model.die
     d = space.size
-    p_s = _as_test_function(space, survival)
-    if np.any(p_s < 0) or np.any(p_s > 1):
-        raise ValueError("survival probabilities must lie in [0, 1]")
-    f = np.asarray(motion, dtype=float)
-    if f.shape != (d, d):
-        raise ValueError("motion must be a (d, d) matrix")
-    if np.any(f < 0) or np.any(np.abs(f.sum(axis=0) - 1.0) > NORMALIZATION_TOL):
-        raise ValueError("motion columns must be distributions over successors")
     if m_max is None:
         m_max = n_max
-    if birth.n_max > n_max:
-        raise ValueError("birth process exceeds the requested cardinality cap")
-
-    move = f * p_s  # move[x, y] = p_S(y) f(x|y)
-    die = 1.0 - p_s
     tables: list[list[np.ndarray]] = []
     for m in range(m_max + 1):
         row: list[np.ndarray] = []
@@ -202,12 +279,12 @@ def build_multiplicative(
 
 def predict(
     posterior: MultiObjectDensity,
-    model: TransitionModel,
+    model: TransitionModel | SurviveMoveBirth,
     *,
     max_dropped: float = 1e-9,
 ) -> MultiObjectDensity:
-    """Chapman-Kolmogorov step: contract the transition tables with the
-    posterior tensors in the y argument.
+    """Chapman-Kolmogorov step through the model's propagate: a table
+    contraction for TransitionModel, a composition for SurviveMoveBirth.
 
     The result keeps the model's cardinality cap. Mass lost to that cap
     (plus whatever the inputs already carried) is recorded on the output;
@@ -220,17 +297,7 @@ def predict(
             f"transition tables accept at most {model.m_max} objects,"
             f" posterior allows {posterior.n_max}"
         )
-    out: list[np.ndarray] = []
-    for n in range(model.n_max + 1):
-        acc = np.zeros((posterior.space.size,) * n)
-        for m in range(posterior.n_max + 1):
-            t = model.tables[m][n]
-            contrib = (
-                np.tensordot(t, posterior.tensors[m], axes=m) if m else t * float(posterior.tensors[0])
-            )
-            acc = acc + contrib / math.factorial(m)
-        out.append(acc)
-    predicted = MultiObjectDensity(posterior.space, out, symmetrize_input=True)
+    predicted = model.propagate(posterior)
     dropped = max(0.0, posterior.total_mass() - predicted.total_mass())
     if dropped > max_dropped:
         raise TruncationOverflow(

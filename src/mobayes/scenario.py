@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -38,9 +39,15 @@ from .finite_pp import (
     bernoulli,
     poisson,
 )
-from .prediction import TransitionModel, build_multiplicative, predict
+from .prediction import (
+    SurviveMoveBirth,
+    build_multiplicative,  # unused here; bench/spans.py wraps mobayes.scenario.build_multiplicative
+    predict,
+)
 
 CONFIG_VERSION = 1
+# Largest coefficient tensor a Poisson block may ask for: d ** n_max entries.
+MAX_TENSOR_ENTRIES = 3**12
 
 
 class ConfigError(ValueError):
@@ -74,10 +81,7 @@ class Scenario:
     prior: MultiObjectDensity
     kernel: ObservationKernel
     clutter: MultiObjectDensity
-    transition: TransitionModel
-    survival: np.ndarray
-    motion: np.ndarray
-    birth: MultiObjectDensity
+    transition: SurviveMoveBirth
     steps: int
     seed: int
     max_dropped: float
@@ -96,6 +100,32 @@ def _integer(doc: dict, key: str, default: int, field: str | None = None) -> int
     return value
 
 
+def _numbers(value: Any, field: str, *, scalar: bool = False) -> Any:
+    """value as a float array (a float when scalar), else ConfigError.
+
+    Every entry, at any nesting depth, must be a finite JSON number: no
+    bools, strings or nulls.
+    """
+    pending = [value]
+    while pending:
+        v = pending.pop()
+        if isinstance(v, list) and not scalar:
+            pending.extend(v)
+            continue
+        finite = (type(v) is int and abs(v) <= sys.float_info.max) or (
+            type(v) is float and math.isfinite(v)
+        )
+        kind = "a finite number" if scalar else "finite numbers only"
+        _require(finite, f"{field} must be {kind}, got {v!r}")
+    return float(value) if scalar else np.asarray(value, dtype=float)
+
+
+def _flag(spec: dict, key: str, field: str) -> bool:
+    value = spec.get(key, False)
+    _require(type(value) is bool, f"{field} must be true or false, got {value!r}")
+    return value
+
+
 def _labels(raw: Any, key: str) -> tuple[str, ...]:
     _require(isinstance(raw, list) and raw, f"{key} must be a non-empty list")
     _require(all(isinstance(s, str) for s in raw), f"{key} entries must be strings")
@@ -109,19 +139,31 @@ def _density_from_spec(
     kind = spec["kind"]
     try:
         if kind == "poisson":
-            rate = np.asarray(spec["intensity"], dtype=float)
-            tail = float(spec.get("tail_tol", 1e-9))
             cap = _integer(spec, "n_max", n_max, f"{key}.n_max")
+            # 2**20 already exceeds the budget, so the power stays small
+            _require(
+                sp.size ** min(cap, 20) <= MAX_TENSOR_ENTRIES,
+                f"{key}.n_max={cap} needs a {sp.size}**{cap}-entry tensor,"
+                f" over the {MAX_TENSOR_ENTRIES}-entry budget",
+            )
+            rate = _numbers(spec["intensity"], f"{key}.intensity")
+            tail = _numbers(spec.get("tail_tol", 1e-9), f"{key}.tail_tol", scalar=True)
             dens = poisson(PoissonSpec(rate, tail_tol=tail), sp, cap)
             # conditioned on the cardinality cap, so it is exactly normalized
             return dens.scaled(1.0 / dens.total_mass())
         if kind == "bernoulli":
-            return bernoulli(float(spec["q"]), np.asarray(spec["pdf"], dtype=float), sp)
+            return bernoulli(
+                _numbers(spec["q"], f"{key}.q", scalar=True),
+                _numbers(spec["pdf"], f"{key}.pdf"),
+                sp,
+            )
         if kind == "explicit":
+            tensors = spec["tensors"]
+            _require(isinstance(tensors, list), f"{key}.tensors must be a list")
             return MultiObjectDensity(
                 sp,
-                [np.asarray(t, dtype=float) for t in spec["tensors"]],
-                symmetrize_input=bool(spec.get("symmetrize", False)),
+                [_numbers(t, f"{key}.tensors") for t in tensors],
+                symmetrize_input=_flag(spec, "symmetrize", f"{key}.symmetrize"),
             )
         if kind == "none":
             return MultiObjectDensity(sp, [1.0])
@@ -144,15 +186,17 @@ def _kernel_from_spec(
             return ObservationKernel.from_detection(
                 state_space,
                 obs_space,
-                np.asarray(spec["p_detect"], dtype=float),
-                np.asarray(spec["likelihood"], dtype=float),
+                _numbers(spec["p_detect"], f"{key}.p_detect"),
+                _numbers(spec["likelihood"], f"{key}.likelihood"),
             )
         if kind == "tables":
+            tables = spec["tables"]
+            _require(isinstance(tables, list), f"{key}.tables must be a list")
             return ObservationKernel(
                 state_space,
                 obs_space,
-                [np.asarray(t, dtype=float) for t in spec["tables"]],
-                symmetrize_input=bool(spec.get("symmetrize", False)),
+                [_numbers(t, f"{key}.tables") for t in tables],
+                symmetrize_input=_flag(spec, "symmetrize", f"{key}.symmetrize"),
             )
     except ConfigError:
         raise
@@ -225,18 +269,13 @@ def load_config(doc: dict | str | os.PathLike) -> Scenario:
         birth = _density_from_spec(
             tr.get("birth", {"kind": "none"}), state_space, n_max, "transition.birth"
         )
-        survival = np.asarray(tr["survival"], dtype=float)
-        motion = np.asarray(tr["motion"], dtype=float)
-        # The model records its worst-case per-input clipping; the budget in
-        # max_dropped is enforced per step on the belief-weighted drop, which
-        # is what actually leaves the recursion.
-        transition = build_multiplicative(
-            survival,
-            motion,
+        # The budget in max_dropped is enforced per step on the
+        # belief-weighted drop, which is what actually leaves the recursion.
+        transition = SurviveMoveBirth(
+            _numbers(tr["survival"], "transition.survival"),
+            _numbers(tr["motion"], "transition.motion"),
             birth,
             n_max=n_max,
-            m_max=n_max,
-            max_dropped=1.0,
         )
     except ConfigError:
         raise
@@ -259,9 +298,6 @@ def load_config(doc: dict | str | os.PathLike) -> Scenario:
         kernel=kernel,
         clutter=clutter,
         transition=transition,
-        survival=survival,
-        motion=motion,
-        birth=birth,
         steps=steps,
         seed=seed,
         max_dropped=max_dropped,
@@ -311,13 +347,14 @@ def _evolve(
     objects: tuple[int, ...],
 ) -> tuple[int, ...]:
     """One step of per-object survive-or-die motion plus fresh births."""
+    model = scenario.transition
     survivors: list[int] = []
     for y in objects:
-        if rng.random() < scenario.survival[y]:
+        if rng.random() < model.survival[y]:
             survivors.append(
-                int(rng.choice(scenario.state_space.size, p=scenario.motion[:, y]))
+                int(rng.choice(scenario.state_space.size, p=model.motion[:, y]))
             )
-    born = _sample_tuple(rng, scenario.birth)
+    born = _sample_tuple(rng, model.birth)
     return tuple(survivors) + born
 
 

@@ -54,7 +54,7 @@ from .monomials import (
     mixed_partial_at,
     tensor_map_component_polys,
 )
-from .prediction import build_multiplicative, predict
+from .prediction import SurviveMoveBirth, build_multiplicative, predict
 from .scenario import load_config, run
 
 
@@ -319,6 +319,12 @@ def check_prediction(level: str) -> tuple[float, str]:
         )
         pred = predict(post, model)
         worst = max(worst, abs(pred.total_mass() - 1.0))
+        # the composition on the scenario path against the table oracle
+        composed = predict(
+            post, SurviveMoveBirth(p_s, f, birth, n_max=n_max + 1), max_dropped=1.0
+        )
+        worst = max(worst, _tensor_gap(composed, pred))
+        worst = max(worst, abs(composed.truncation_mass - pred.truncation_mass))
     # Poisson in, Poisson out
     lam = np.array([0.2, 0.1][:d] + [0.15] * max(0, d - 2))
     bint = np.array([0.05, 0.08][:d] + [0.04] * max(0, d - 2))
@@ -335,7 +341,10 @@ def check_prediction(level: str) -> tuple[float, str]:
     gap = float(np.max(np.abs(pred.intensity_vector() - target)))
     err = max(0.0, gap - budget)
     worst = max(worst, err)
-    return worst, f"{count} mass-balance instances; intensity gap {gap:.2e} within {budget:.2e}"
+    return worst, (
+        f"{count} mass-balance and composition-vs-tables instances;"
+        f" intensity gap {gap:.2e} within {budget:.2e}"
+    )
 
 
 def check_run_reproducibility(level: str) -> tuple[float, str]:

@@ -140,6 +140,70 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=re.escape(field)):
             load_config(doc)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("prior.q", True),
+            ("kernel.p_detect", [True, 0.5]),
+            ("prior.intensity", ["0.25", 0.2]),
+            ("transition.survival", [True, 0.5]),
+            ("transition.motion", [[True, 0.2], [False, 0.8]]),
+            ("prior.symmetrize", "false"),
+        ],
+    )
+    def test_no_coercion_of_arrays_and_flags(self, field, value):
+        doc = base_config()
+        if field == "prior.q":
+            doc["prior"] = {"kind": "bernoulli", "q": value, "pdf": [0.5, 0.5]}
+            doc["n_max"] = 1
+        elif field == "prior.symmetrize":
+            doc["prior"] = {"kind": "explicit", "tensors": [0.5, [0.25, 0.25]], "symmetrize": value}
+            doc["n_max"] = 1
+        else:
+            block, key = field.split(".")
+            doc[block][key] = value
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_config(doc)
+
+    @pytest.mark.parametrize("n_max", [20, 10**6])
+    def test_tensor_budget_refused_before_building(self, n_max):
+        with pytest.raises(ConfigError, match="n_max"):
+            load_config(base_config(n_max=n_max))
+
+    def test_does_not_build_transition_tables(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("transition tables built")
+
+        monkeypatch.setattr("mobayes.scenario.build_multiplicative", refuse)
+        records, failed = run(load_config(base_config(steps=3)))
+        assert failed is None and len(records) == 4
+
+    def test_caps_past_the_table_limit_run(self):
+        """d=3, n_max=8: far past what dense transition tables allow."""
+        doc = base_config(
+            state_labels=["a", "b", "c"],
+            obs_labels=["u", "v", "w"],
+            n_max=8,
+            prior={"kind": "poisson", "intensity": [0.3, 0.2, 0.1]},
+            kernel={
+                "kind": "detection",
+                "p_detect": [0.85] * 3,
+                "likelihood": [[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
+            },
+            clutter={"kind": "poisson", "intensity": [0.3, 0.3, 0.3], "n_max": 3},
+            transition={
+                "survival": [0.7] * 3,
+                "motion": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+                "birth": {"kind": "poisson", "intensity": [0.05, 0.05, 0.05]},
+                "max_dropped": 0.05,
+            },
+            steps=20,
+        )
+        sc = load_config(doc)
+        assert sc.transition.m_max == sc.n_max == 8
+        records, failed = run(sc)
+        assert failed is None and len(records) == 21
+
     def test_missing_transition_block(self):
         doc = base_config()
         del doc["transition"]

@@ -15,6 +15,7 @@ import pytest
 from mobayes import (
     MultiObjectDensity,
     PoissonSpec,
+    SurviveMoveBirth,
     TransitionModel,
     TruncationOverflow,
     build_multiplicative,
@@ -234,6 +235,68 @@ class TestPredict:
         )
 
 
+def random_dynamics(rng, sp, birth_cap):
+    """Survival, motion and a random birth process with the given cap."""
+    p_s = rng.uniform(0.0, 1.0, sp.size)
+    f = rng.uniform(0.1, 1.0, (sp.size, sp.size))
+    f /= f.sum(axis=0, keepdims=True)
+    return p_s, f, random_density(rng, sp, birth_cap)
+
+
+class TestSurviveMoveBirth:
+    def test_composition_matches_the_tables(self):
+        """Same prediction and truncation mass as the table oracle, also
+        when posterior and birth caps sit below the model cap."""
+        rng = np.random.default_rng(109)
+        for d, n_max in itertools.product(range(1, 4), range(5)):
+            sp = space(d)
+            for post_cap, birth_cap in itertools.product(range(n_max + 1), repeat=2):
+                post = random_density(rng, sp, post_cap)
+                p_s, f, birth = random_dynamics(rng, sp, birth_cap)
+                tables = build_multiplicative(p_s, f, birth, n_max=n_max, max_dropped=1.0)
+                model = SurviveMoveBirth(p_s, f, birth, n_max=n_max)
+                want = predict(post, tables, max_dropped=1.0)
+                got = predict(post, model, max_dropped=1.0)
+                assert got.n_max == want.n_max == n_max
+                for s, t in zip(got.tensors, want.tensors):
+                    np.testing.assert_allclose(s, t, rtol=0, atol=1e-14)
+                assert got.truncation_mass == pytest.approx(want.truncation_mass, rel=0, abs=1e-14)
+
+    def test_overflow_agrees_with_the_tables(self):
+        sp = space(2)
+        birth = MultiObjectDensity(sp, [0.4, np.array([0.35, 0.25])])
+        full = MultiObjectDensity(sp, [0.0, np.zeros(2), np.ones((2, 2)) / 2.0])
+        tables = build_multiplicative(
+            np.ones(2), np.eye(2), birth, n_max=2, max_dropped=1.0
+        )
+        model = SurviveMoveBirth(np.ones(2), np.eye(2), birth, n_max=2)
+        for m in (tables, model):
+            with pytest.raises(TruncationOverflow):
+                predict(full, m, max_dropped=0.5)
+            assert predict(full, m, max_dropped=0.7).truncation_mass == pytest.approx(0.6)
+
+    def test_posterior_over_the_cap_rejected(self):
+        rng = np.random.default_rng(110)
+        sp = space(2)
+        model = SurviveMoveBirth(np.full(2, 0.5), np.eye(2), empty_birth(sp), n_max=2)
+        assert model.m_max == model.n_max == 2
+        with pytest.raises(ValueError):
+            predict(random_density(rng, sp, 3), model)
+
+    def test_validation(self):
+        sp = space(2)
+        nothing = empty_birth(sp)
+        with pytest.raises(ValueError, match="survival"):
+            SurviveMoveBirth(np.array([0.5, 1.4]), np.eye(2), nothing, n_max=1)
+        with pytest.raises(ValueError, match="motion"):
+            SurviveMoveBirth(np.ones(2), np.ones((2, 3)) / 2, nothing, n_max=1)
+        with pytest.raises(ValueError, match="motion"):
+            SurviveMoveBirth(np.ones(2), np.full((2, 2), np.nan), nothing, n_max=1)
+        big_birth = MultiObjectDensity(sp, [0.5, np.array([0.25, 0.25])])
+        with pytest.raises(ValueError, match="birth"):
+            SurviveMoveBirth(np.ones(2), np.eye(2), big_birth, n_max=0)
+
+
 class TestPoissonThrough:
     def test_poisson_in_poisson_out_intensity(self):
         """Survive-move-and-birth keeps a Poisson belief Poisson; the
@@ -249,6 +312,23 @@ class TestPoissonThrough:
         model = build_multiplicative(
             p_s, f, birth, n_max=model_cap, m_max=prior_cap, max_dropped=1e-3
         )
+        pred = predict(post, model, max_dropped=1e-3)
+        want = f @ (p_s * mu) + b
+        budget = 25 * (post.truncation_mass + birth.truncation_mass + 1e-10)
+        np.testing.assert_allclose(pred.intensity_vector(), want, atol=budget)
+        target = poisson(PoissonSpec(want, tail_tol=1e-10), sp, n_max=pred.n_max)
+        for s, t in zip(pred.tensors, target.tensors):
+            np.testing.assert_allclose(s, t, atol=budget)
+
+    def test_composition_poisson_in_poisson_out_intensity(self):
+        sp = space(3)
+        mu = np.array([0.25, 0.15, 0.1])
+        p_s = np.array([0.7, 0.5, 0.9])
+        f = np.array([[0.8, 0.3, 0.1], [0.15, 0.6, 0.2], [0.05, 0.1, 0.7]])
+        b = np.array([0.06, 0.1, 0.02])
+        post = poisson(PoissonSpec(mu, tail_tol=1e-10), sp, n_max=5)
+        birth = poisson(PoissonSpec(b, tail_tol=1e-10), sp, n_max=5)
+        model = SurviveMoveBirth(p_s, f, birth, n_max=8)
         pred = predict(post, model, max_dropped=1e-3)
         want = f @ (p_s * mu) + b
         budget = 25 * (post.truncation_mass + birth.truncation_mass + 1e-10)
