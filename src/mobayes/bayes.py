@@ -14,9 +14,9 @@ and an observed measurement set Z, the posterior is computed by
   There is one numeric path: the evidence is a signed log-sum-exp over the
   terms, and each term's numerator is scaled by its weight over the
   evidence, so evidences far below the smallest double never underflow.
-  Every variation is one call of finite_pp.contract, and the numerator
-  tensors are plain sums that the MultiObjectDensity constructor
-  symmetrizes once.
+  Every variation is one call of finite_pp.contract; the numerator tensors
+  are the prior's times one finite_pp.product, of the block functional
+  sum_terms scale * prod_i v_i[h] and exp(p0[h]).
 * posterior_bivariate: a slow numeric oracle that differentiates the joint
   functional of (psi, eta) in both arguments and takes the ratio of
   variations; it exercises the defining limit rather than any closed form.
@@ -56,6 +56,8 @@ from .finite_pp import (
     contract,
     evaluate,
     poisson as poisson_density,
+    powers,
+    product,
     symmetrize,  # unused here; bench/spans.py wraps mobayes.bayes.symmetrize
     symmetrize_axes,
 )
@@ -314,23 +316,18 @@ def _signature_counts(
     return counts
 
 
-def _injection_sum(
-    k: int, base: np.ndarray, block_vecs, scale: float = 1.0
-) -> np.ndarray | float:
-    """Sum over injections sigma of outer products, up to symmetrization.
+def _block_functional(terms, d: int) -> list[np.ndarray]:
+    """Coefficients B_p of sum over terms of scale * prod_i v_i[h].
 
-    The sum over injective sigma:[p]->[k] puts block i's vector on axis
-    sigma(i) and the base vector on every other axis. It has the same
-    symmetrization as k!/(k-p)! times one reference outer product, which is
-    returned (times scale) unsymmetrized: callers only add it, times a
-    symmetric prior tensor, into sums that MultiObjectDensity(...,
-    symmetrize_input=True) symmetrizes once.
+    B_p = sum over the terms with p blocks of scale * p! * v_1 (x) ... (x)
+    v_p, unsymmetrized, accumulated in the given (sorted signature) order.
     """
-    p = len(block_vecs)
-    if k == 0:
-        return scale
-    term = functools.reduce(np.multiply.outer, list(block_vecs) + [base] * (k - p))
-    return term * (scale * (math.factorial(k) // math.factorial(k - p)))
+    top = max((len(vecs) for _, vecs in terms), default=0)
+    coeffs = [np.zeros((d,) * p) for p in range(top + 1)]
+    for scale, vecs in terms:
+        first = np.asarray(scale * math.factorial(len(vecs)))
+        coeffs[len(vecs)] += functools.reduce(np.multiply.outer, vecs, first)
+    return coeffs
 
 
 def _intensity_term(prior, p0, block_vecs) -> np.ndarray:
@@ -448,12 +445,9 @@ def posterior_partition_clutter(
     means no clutter process: every measurement comes from an object.
     """
     log_evidence, terms = _partition_engine(prior, kernel, Z, clutter, prune)
-    p0 = kernel.tables[0]
-    d = prior.space.size
-    tensors = [np.zeros((d,) * k) for k in range(prior.n_max + 1)]
-    for scale, vecs in terms:
-        for k in range(len(vecs), prior.n_max + 1):
-            tensors[k] += prior.tensors[k] * _injection_sum(k, p0, vecs, scale)
+    n, d = prior.n_max, prior.space.size
+    likelihood = product(_block_functional(terms, d), powers(kernel.tables[0], n), n, d)
+    tensors = [t * f for t, f in zip(prior.tensors, likelihood)]
     density = MultiObjectDensity(prior.space, tensors, symmetrize_input=True)
     return Posterior(density, density.intensity_vector(), log_evidence)
 
@@ -505,8 +499,8 @@ def poisson_posterior(
     Every variation of the exponential functional factorizes, so each
     partition contributes just the product of scalars mu[P_block]; the
     posterior is the superposition of a Poisson with intensity mu * p0 and a
-    partition mixture of per-block point densities mu * P_block, assembled
-    here directly as coefficient tensors.
+    partition mixture of per-block point densities mu * P_block, one
+    finite_pp.product of the block functional and exp(nu[h]).
     """
     if not isinstance(spec, PoissonSpec):
         spec = PoissonSpec(np.asarray(spec, dtype=float))
@@ -524,19 +518,9 @@ def poisson_posterior(
         raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
     d = kernel.state_space.size
     scale = math.exp(-float(nu.sum())) / partition_total
-    tensors: list[np.ndarray] = []
-    for k in range(n_max + 1):
-        acc = np.zeros((d,) * k) if k else np.asarray(0.0)
-        for cnt, vecs, _ in terms:
-            if len(vecs) > k:
-                continue
-            acc = acc + cnt * np.asarray(
-                _injection_sum(k, nu, [mu * v for v in vecs])
-            )
-        tensors.append(scale * acc)
-    density = MultiObjectDensity(
-        kernel.state_space, tensors, symmetrize_input=True
-    )
+    kept = [(cnt * scale, [mu * v for v in vs]) for cnt, vs, _ in terms if len(vs) <= n_max]
+    tensors = product(_block_functional(kept, d), powers(nu, n_max), n_max, d)
+    density = MultiObjectDensity(kernel.state_space, tensors, symmetrize_input=True)
     density.truncation_mass = max(0.0, 1.0 - density.total_mass())
     log_evidence = float(mu @ (p0 - 1.0)) + math.log(partition_total)
     return Posterior(

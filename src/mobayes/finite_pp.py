@@ -12,8 +12,9 @@ constructor is the one place that enforces it: symmetrize_input=True routes
 every array through an orbit canonicalizer that assigns one value per index
 multiset, so permutation identities hold bitwise, not merely to round-off.
 Code that assembles tensors hands the constructor plain sums. contract() is
-the one coefficient contraction the engines share; evaluate() stays separate
-for the oracles.
+the one coefficient contraction the engines share, and product() the one
+coefficient product of two functionals (superposition, prediction and the
+update numerators); evaluate() stays separate for the oracles.
 """
 
 from __future__ import annotations
@@ -172,12 +173,10 @@ class MultiObjectDensity:
                 )
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"tensor {n} contains non-finite entries")
-            if n >= 2:
-                if symmetrize_input:
-                    arr = symmetrize(arr)
-                elif not is_symmetric(arr):
-                    raise ValueError(f"tensor {n} is not symmetric")
-            fixed.append(arr.copy())
+            if n >= 2 and not symmetrize_input and not is_symmetric(arr):
+                raise ValueError(f"tensor {n} is not symmetric")
+            # symmetrize returns a fresh array, so only the other branch copies
+            fixed.append(symmetrize(arr) if n >= 2 and symmetrize_input else arr.copy())
         if not fixed:
             raise ValueError("at least the cardinality-0 tensor is required")
         self.tensors = fixed
@@ -368,11 +367,7 @@ def poisson(
     elif n_max < 0:
         raise ValueError("n_max must be nonnegative")
     scale = math.exp(-lam)
-    tensors: list[np.ndarray] = [np.asarray(scale)]
-    outer: np.ndarray | None = None
-    for n in range(1, n_max + 1):
-        outer = mu.copy() if outer is None else np.multiply.outer(outer, mu)
-        tensors.append(outer * scale)
+    tensors = [t * scale for t in powers(mu, n_max)]
     return MultiObjectDensity(
         space, tensors, symmetrize_input=True, truncation_mass=_poisson_tail(lam, n_max)
     )
@@ -390,26 +385,42 @@ def bernoulli(
     return MultiObjectDensity(space, [1.0 - q, q * f])
 
 
+def powers(v: np.ndarray, n: int) -> list[np.ndarray]:
+    """[v^(x)l for l <= n]: the coefficients of exp(v[h]), by successive outer products."""
+    out = [np.ones(())]
+    for _ in range(n):
+        out.append(np.multiply.outer(out[-1], v))
+    return out
+
+
+def product(p, r, cap: int, d: int) -> list[np.ndarray]:
+    """Coefficients of the product of two functionals, unsymmetrized.
+
+    t_k = sum_j C(k, j) p_j (x) r_{k-j} for k <= cap, j bounded by both list
+    lengths. Callers hand the t_k to MultiObjectDensity(...,
+    symmetrize_input=True), which symmetrizes each of them once.
+    """
+    out = []
+    for k in range(cap + 1):
+        acc = np.zeros((d,) * k)
+        for j in range(max(0, k - len(r) + 1), min(k, len(p) - 1) + 1):
+            acc += math.comb(k, j) * np.multiply.outer(p[j], r[k - j])
+        out.append(acc)
+    return out
+
+
 def superpose(P1: MultiObjectDensity, P2: MultiObjectDensity) -> MultiObjectDensity:
     """Coefficients of the product functional G_1(psi) G_2(psi).
 
-    t_k is the symmetrization of sum_j C(k, j) p_j (x) r_{k-j}, truncated at
-    max(n_max1, n_max2) with the shorter family's missing tensors taken as
-    zero, so superposing with the empty process returns the other density.
-    The mass of the products dropped past the cap, where the cardinalities
-    j + l exceed it, is added to both inputs' truncation masses.
+    The product is truncated at max(n_max1, n_max2), so superposing with the
+    empty process returns the other density. The mass of the products
+    dropped past the cap, where the cardinalities j + l exceed it, is added
+    to both inputs' truncation masses.
     """
     if P1.space.labels != P2.space.labels:
         raise ValueError("superpose requires a common space")
     k_max = max(P1.n_max, P2.n_max)
-    d = P1.space.size
-    p, r = P1.tensors, P2.tensors
-    tensors: list[np.ndarray] = []
-    for k in range(k_max + 1):
-        acc = np.zeros((d,) * k)
-        for j in range(max(0, k - P2.n_max), min(k, P1.n_max) + 1):
-            acc += math.comb(k, j) * np.multiply.outer(p[j], r[k - j])
-        tensors.append(acc)
+    tensors = product(P1.tensors, P2.tensors, k_max, P1.space.size)
     c1, c2 = P1.cardinality_distribution(), P2.cardinality_distribution()
     dropped = sum(float(c1[j] * c2[k_max + 1 - j :].sum()) for j in range(c1.size))
     mass = P1.truncation_mass + P2.truncation_mass + max(0.0, dropped)

@@ -10,9 +10,9 @@ Its coefficients are the survivor tensors
 
     q_j = move^(x)j applied to sum_k p_k[die^(k-j)] / (k-j)!,
 
-with move = M p_S and die = 1 - p_S, superposed with the birth process.
-SurviveMoveBirth.propagate computes them with one finite_pp.contract per
-survivor count; this is the scenario path.
+with move = M p_S and die = 1 - p_S, times the birth functional through one
+finite_pp.product. SurviveMoveBirth.propagate computes them with one
+finite_pp.contract per survivor count; this is the scenario path.
 
 The general Chapman-Kolmogorov form stores explicit conditional tensors
 t[m][n] with t[m][n][x_1..x_n, y_1..y_m] = density of the n successors
@@ -43,8 +43,8 @@ from .finite_pp import (
     TruncationOverflow,
     _as_test_function,
     contract,
+    product,
     scalar_product,
-    superpose,
     symmetrize_axes,
 )
 
@@ -176,21 +176,17 @@ class SurviveMoveBirth:
         return self.n_max
 
     def propagate(self, posterior: MultiObjectDensity) -> MultiObjectDensity:
-        """Survivor coefficients q_j, padded to n_max, superposed with birth."""
+        """Survivor coefficients q_j times the birth functional, capped at n_max."""
         d = self.space.size
         survivors: list[np.ndarray] = []
-        for j in range(self.n_max + 1):
-            if j > posterior.n_max:
-                survivors.append(np.zeros((d,) * j))
-                continue
+        for j in range(posterior.n_max + 1):
             q = contract(posterior.tensors, [], self.die, free=j)
             for _ in range(j):
                 # contract the leading y axis; its successor x goes last
                 q = q.reshape(d, -1).T @ self.move.T
             survivors.append(q.reshape((d,) * j))
-        return superpose(
-            MultiObjectDensity(self.space, survivors, symmetrize_input=True), self.birth
-        )
+        tensors = product(survivors, self.birth.tensors, self.n_max, d)
+        return MultiObjectDensity(self.space, tensors, symmetrize_input=True)
 
 
 def build_multiplicative(

@@ -48,6 +48,9 @@ from .prediction import (
 CONFIG_VERSION = 1
 # Largest coefficient tensor a Poisson block may ask for: d ** n_max entries.
 MAX_TENSOR_ENTRIES = 3**12
+# numpy arrays have at most 64 axes (32 before numpy 2), and symmetrizing an
+# n-axis tensor goes through an (n + 1)-axis index array.
+MAX_TENSOR_AXES = (64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32) - 1
 
 
 class ConfigError(ValueError):
@@ -140,6 +143,7 @@ def _density_from_spec(
     try:
         if kind == "poisson":
             cap = _integer(spec, "n_max", n_max, f"{key}.n_max")
+            _require(cap <= MAX_TENSOR_AXES, f"{key}.n_max={cap} is over the limit of {MAX_TENSOR_AXES}")
             # 2**20 already exceeds the budget, so the power stays small
             _require(
                 sp.size ** min(cap, 20) <= MAX_TENSOR_ENTRIES,

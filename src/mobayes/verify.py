@@ -9,7 +9,7 @@ instance counts.
 Checks are independent, so they run on a thread pool sized to the CPUs
 this process may use, at most four. Seeds are fixed per check, results are
 aggregated as order-independent maxima, and the report is therefore
-identical run to run.
+identical run to run. A check that raises fails with error inf.
 """
 
 from __future__ import annotations
@@ -414,7 +414,10 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     def one(entry) -> CheckResult:
         name, tol, fn = entry
         start = time.perf_counter()
-        err, detail = fn(level)
+        try:
+            err, detail = fn(level)
+        except Exception as exc:  # a broken engine is a failed check, not a crash
+            err, detail = math.inf, f"raised {type(exc).__name__}: {exc}"
         took = time.perf_counter() - start
         return CheckResult(name, tol, err, err <= tol, detail, took)
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from mobayes import ConfigError, bell, load_config, run, simulate
+from mobayes import ConfigError, TruncationOverflow, bell, load_config, run, simulate, verify
 from mobayes.cli import main
 from mobayes.scenario import write_outputs
 
@@ -169,6 +169,15 @@ class TestLoadConfig:
     def test_tensor_budget_refused_before_building(self, n_max):
         with pytest.raises(ConfigError, match="n_max"):
             load_config(base_config(n_max=n_max))
+
+    @pytest.mark.parametrize("n_max", [64, 10**6])
+    def test_axis_limit_refused_on_a_one_state_space(self, n_max):
+        """d**n_max is 1 on one state, so only the axis limit can refuse it."""
+        doc = base_config(
+            state_labels=["a"], n_max=n_max, prior={"kind": "poisson", "intensity": [0.25]}
+        )
+        with pytest.raises(ConfigError, match=re.escape(f"prior.n_max={n_max}")):
+            load_config(doc)
 
     def test_does_not_build_transition_tables(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -523,3 +532,17 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_verify_reports_a_raising_check_as_failed(self, monkeypatch, capsys):
+        def broken(level):
+            raise TruncationOverflow("dropped 0.5 mass", 0.5)
+
+        name, tol, _ = verify.CHECKS[0]
+        monkeypatch.setattr(verify, "CHECKS", [(name, tol, broken)] + verify.CHECKS[1:])
+        assert main(["verify", "--level", "fast"]) == 1
+        captured = capsys.readouterr()
+        row = next(line for line in captured.out.splitlines() if name in line)
+        assert row.startswith("FAIL") and "max err inf" in row
+        assert "TruncationOverflow: dropped 0.5 mass" in row
+        assert f"{len(verify.CHECKS) - 1}/{len(verify.CHECKS)} checks passed" in captured.out
+        assert "Traceback" not in captured.out + captured.err

@@ -26,7 +26,14 @@ from mobayes import (
     scalar_product,
     superpose,
 )
-from mobayes.finite_pp import contract, is_symmetric, symmetrize, symmetrize_axes
+from mobayes.finite_pp import (
+    contract,
+    is_symmetric,
+    powers,
+    product,
+    symmetrize,
+    symmetrize_axes,
+)
 from mobayes.functional_calculus import numeric_differential
 from mobayes.instances import random_density, space
 
@@ -115,6 +122,18 @@ class TestMultiObjectDensity:
         P = random_density(rng, space(3), 3)
         expected = np.array([moment(P, [x]) for x in P.space.labels])
         np.testing.assert_allclose(P.intensity_vector(), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("symmetrize_input", [False, True])
+    def test_owns_its_tensors(self, symmetrize_input):
+        """Mutating the caller's arrays afterwards leaves the density as built."""
+        rng = np.random.default_rng(13)
+        raw = [t.copy() for t in random_density(rng, space(2), 3).tensors]
+        P = MultiObjectDensity(space(2), raw, symmetrize_input=symmetrize_input)
+        kept = [t.copy() for t in P.tensors]
+        for t in raw:
+            t[...] = -1.0
+        for s, t in zip(P.tensors, kept):
+            np.testing.assert_array_equal(s, t)
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(12)
@@ -440,6 +459,30 @@ class TestBernoulliAndSuperpose:
         np.testing.assert_allclose(
             S.total_mass() + S.truncation_mass, 1.0, atol=1e-12
         )
+
+    def test_product_with_the_unit_family_is_the_identity(self):
+        rng = np.random.default_rng(36)
+        P = random_density(rng, space(3), 3)
+        for t in (product([1.0], P.tensors, 3, 3), product(P.tensors, [1.0], 3, 3)):
+            for s, want in zip(t, P.tensors):
+                np.testing.assert_array_equal(s, want)
+
+    def test_product_symmetrized_is_superpose(self):
+        rng = np.random.default_rng(37)
+        P1 = random_density(rng, space(3), 3)
+        P2 = random_density(rng, space(3), 2)
+        S = superpose(P1, P2)
+        raw = product(P1.tensors, P2.tensors, S.n_max, 3)
+        assert len(raw) == S.n_max + 1
+        for k, (s, t) in enumerate(zip(raw, S.tensors)):
+            np.testing.assert_array_equal(symmetrize(s) if k >= 2 else s, t)
+
+    def test_powers_are_the_exponential_coefficients(self):
+        v = np.array([0.5, -2.0, 3.0])
+        out = powers(v, 3)
+        assert [t.shape for t in out] == [(), (3,), (3, 3), (3, 3, 3)]
+        np.testing.assert_array_equal(out[3], np.einsum("i,j,k->ijk", v, v, v))
+        assert powers(v, 0) == [1.0]
 
     def test_superpose_space_mismatch(self):
         rng = np.random.default_rng(33)

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import mobayes.finite_pp
 from mobayes import (
     MultiObjectDensity,
     PoissonSpec,
@@ -261,6 +262,26 @@ class TestSurviveMoveBirth:
                 for s, t in zip(got.tensors, want.tensors):
                     np.testing.assert_allclose(s, t, rtol=0, atol=1e-14)
                 assert got.truncation_mass == pytest.approx(want.truncation_mass, rel=0, abs=1e-14)
+
+    def test_symmetrizes_once_per_tensor(self, monkeypatch):
+        """Survivor and birth coefficients are multiplied as plain arrays: only
+        the predicted density's constructor symmetrizes, once per tensor of
+        cardinality two or more."""
+        rng = np.random.default_rng(111)
+        sp = space(2)
+        post = random_density(rng, sp, 3)
+        p_s, f, birth = random_dynamics(rng, sp, 2)
+        model = SurviveMoveBirth(p_s, f, birth, n_max=4)
+        calls = []
+        original = mobayes.finite_pp.symmetrize_axes
+
+        def counted(arr, groups):
+            calls.append(np.shape(arr))
+            return original(arr, groups)
+
+        monkeypatch.setattr(mobayes.finite_pp, "symmetrize_axes", counted)
+        predict(post, model, max_dropped=1.0)
+        assert calls == [(2, 2), (2, 2, 2), (2, 2, 2, 2)]
 
     def test_overflow_agrees_with_the_tables(self):
         sp = space(2)
