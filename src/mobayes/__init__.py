@@ -3,8 +3,8 @@
 Multi-object states and observations live on small labelled finite sets and
 are represented by truncated coefficient tensors of their generating
 functionals. Updates, intensities and predictions are computed exactly
-(partition sums, coefficient shifts, scalar products), with brute-force and
-numeric oracles alongside for verification.
+(partition sums, coefficient shifts, scalar products); the brute-force,
+numeric and table oracles they are verified against live in oracles.
 """
 
 from .bayes import (
@@ -13,11 +13,8 @@ from .bayes import (
     ObservationKernel,
     Posterior,
     ZeroEvidence,
-    joint_likelihood,
     poisson_posterior,
     poisson_posterior_intensity,
-    posterior_bivariate,
-    posterior_direct,
     posterior_intensity,
     posterior_intensity_clutter,
     posterior_partition,
@@ -49,7 +46,14 @@ from .functional_calculus import (
     leibniz,
     numeric_differential,
 )
-from .prediction import SurviveMoveBirth, TransitionModel, build_multiplicative, predict
+from .oracles import (
+    TransitionModel,
+    build_multiplicative,
+    joint_likelihood,
+    posterior_bivariate,
+    posterior_direct,
+)
+from .prediction import SurviveMoveBirth, predict
 from .scenario import ConfigError, RunRecord, Scenario, load_config, run, simulate
 
 __version__ = "0.1.0"

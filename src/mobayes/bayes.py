@@ -1,25 +1,22 @@
-"""Multi-object Bayes updates on finite spaces, three ways.
+"""Multi-object Bayes updates on finite spaces: the partition-sum engine.
 
 Given a prior multi-object density, a per-object measurement-group kernel
-and an observed measurement set Z, the posterior is computed by
+and an observed measurement set Z, posterior_partition and
+posterior_partition_clutter compute the posterior by the generating-
+functional route. Each set partition of Z contributes one variation of the
+prior functional taken at the missed-detection profile, with one increment
+per block; clutter adds an outer sum over the subset of Z explained by the
+clutter process. Evidence is the same sum with no free measurement points.
+There is one numeric path: the evidence is a signed log-sum-exp over the
+terms, and each term's numerator is scaled by its weight over the evidence,
+so evidences far below the smallest double never underflow. Every variation
+is one call of finite_pp.contract; the numerator tensors are the prior's
+times one finite_pp.product, of the block functional
+sum_terms scale * prod_i v_i[h] and exp(p0[h]). The posterior carries the
+prior's truncation_mass, so mass dropped at earlier caps is not forgotten.
 
-* posterior_direct: brute force over all (n+1)^m assignments of measurements
-  to objects (and optionally clutter). This is the oracle everything else is
-  checked against.
-* posterior_partition / posterior_partition_clutter: the generating-
-  functional route. Each set partition of Z contributes one variation of the
-  prior functional taken at the missed-detection profile, with one increment
-  per block; clutter adds an outer sum over the subset of Z explained by the
-  clutter process. Evidence is the same sum with no free measurement points.
-  There is one numeric path: the evidence is a signed log-sum-exp over the
-  terms, and each term's numerator is scaled by its weight over the
-  evidence, so evidences far below the smallest double never underflow.
-  Every variation is one call of finite_pp.contract; the numerator tensors
-  are the prior's times one finite_pp.product, of the block functional
-  sum_terms scale * prod_i v_i[h] and exp(p0[h]).
-* posterior_bivariate: a slow numeric oracle that differentiates the joint
-  functional of (psi, eta) in both arguments and takes the ratio of
-  variations; it exercises the defining limit rather than any closed form.
+The brute-force and numeric oracles this engine is checked against live in
+mobayes.oracles.
 
 Partition terms are grouped by the multiset of block contents (sorted
 z-labels per block) and accumulated in sorted signature order. The value of
@@ -32,13 +29,14 @@ partition sum: each partition contributes an appended-increment term (one
 extra Dirac increment weighted by the missed-detection profile) plus one
 replaced-increment term per block (that block's increment localized at the
 query point). Poisson priors additionally get closed forms in which every
-variation collapses to a product of scalars mu[P_block].
+variation collapses to a product of scalars mu[P_block]; they share the
+signature enumeration, _block_functional, product and powers with the
+engine, so they are not independent oracles.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -54,14 +52,12 @@ from .finite_pp import (
     PoissonSpec,
     _as_test_function,
     contract,
-    evaluate,
     poisson as poisson_density,
     powers,
     product,
     symmetrize,  # unused here; bench/spans.py wraps mobayes.bayes.symmetrize
     symmetrize_axes,
 )
-from .functional_calculus import numeric_differential
 
 MeasurementSet = Sequence[str | int]
 ClutterProcess = MultiObjectDensity
@@ -149,12 +145,6 @@ class ObservationKernel:
             return np.zeros(self.state_space.size)
         return self.tables[m][(slice(None),) + tuple(z_idx)]
 
-    def group_value(self, x: int, z_idx: tuple[int, ...]) -> float:
-        m = len(z_idx)
-        if m > self.m_max:
-            return 0.0
-        return float(self.tables[m][(x,) + tuple(z_idx)])
-
     def emission_weights(self) -> np.ndarray:
         """Per-state probabilities of emitting a group of each size."""
         d_x = self.state_space.size
@@ -183,91 +173,6 @@ class ObservationKernel:
         return cls(state_space, obs_space, [1.0 - pd, pd[:, None] * g])
 
 
-def _clutter_value(clutter: MultiObjectDensity | None, group: tuple[int, ...]) -> float:
-    if clutter is None:
-        return 1.0 if not group else 0.0
-    if len(group) > clutter.n_max:
-        return 0.0
-    return float(clutter.tensors[len(group)][tuple(group)])
-
-
-def joint_likelihood(
-    kernel: ObservationKernel,
-    x_tuple: Sequence[str | int],
-    Z: MeasurementSet,
-    clutter: MultiObjectDensity | None = None,
-) -> float:
-    """p(Z | objects at x_tuple), brute-forced over measurement assignments.
-
-    Every map from measurements to {objects} (plus a clutter slot when a
-    clutter process is given) contributes the product of the group densities
-    it induces. Impossible sets return 0. Measurements are processed in
-    sorted-label order so the value is bitwise reorder-invariant.
-    """
-    x_idx = kernel.state_space.indices(x_tuple)
-    z_idx = tuple(sorted(kernel.obs_space.indices(Z)))
-    n, m = len(x_idx), len(z_idx)
-    slots = n + (1 if clutter is not None else 0)
-    if m == 0:
-        value = _clutter_value(clutter, ())
-        for ix in x_idx:
-            value *= float(kernel.tables[0][ix])
-        return value
-    if slots == 0:
-        return 0.0
-    total = 0.0
-    for assign in itertools.product(range(slots), repeat=m):
-        groups: list[list[int]] = [[] for _ in range(slots)]
-        for j, a in enumerate(assign):
-            groups[a].append(z_idx[j])
-        factor = 1.0
-        if clutter is not None:
-            factor = _clutter_value(clutter, tuple(groups[n]))
-        for i in range(n):
-            if factor == 0.0:
-                break
-            factor *= kernel.group_value(x_idx[i], tuple(groups[i]))
-        total += factor
-    return total
-
-
-def posterior_direct(
-    prior: MultiObjectDensity,
-    kernel: ObservationKernel,
-    Z: MeasurementSet,
-    clutter: MultiObjectDensity | None = None,
-) -> Posterior:
-    """Exact Bayes by enumeration: q_n proportional to p(Z|x) p_n(x).
-
-    Likelihoods are evaluated once per index multiset and written to the
-    whole orbit, so the posterior tensors are exactly symmetric. The
-    intensity is the direct first-factorial-moment sum over the tensors.
-    """
-    _check_update_spaces(prior, kernel, clutter)
-    d = prior.space.size
-    numerators: list[np.ndarray] = []
-    evidence = 0.0
-    for n in range(prior.n_max + 1):
-        t = np.zeros((d,) * n)
-        for canon in itertools.combinations_with_replacement(range(d), n):
-            like = joint_likelihood(kernel, canon, Z, clutter)
-            for perm in set(itertools.permutations(canon)):
-                t[perm] = like * float(prior.tensors[n][perm])
-        numerators.append(t)
-        evidence += t.sum() / math.factorial(n)
-    if not evidence > 0.0:
-        raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
-    tensors = [t / evidence for t in numerators]
-    density = MultiObjectDensity(prior.space, tensors)
-    intensity = np.zeros(d)
-    for n in range(1, density.n_max + 1):
-        t = density.tensors[n]
-        for axis in range(n):
-            others = tuple(a for a in range(n) if a != axis)
-            intensity += t.sum(axis=others) / math.factorial(n)
-    return Posterior(density, intensity, math.log(evidence))
-
-
 # ---------------------------------------------------------------------------
 # partition-sum engine
 # ---------------------------------------------------------------------------
@@ -278,6 +183,14 @@ def _check_update_spaces(prior, kernel, clutter) -> None:
         raise ValueError("prior and kernel disagree on the state space")
     if clutter is not None and clutter.space.labels != kernel.obs_space.labels:
         raise ValueError("clutter process must live on the observation space")
+
+
+def _clutter_value(clutter: MultiObjectDensity | None, group: tuple[int, ...]) -> float:
+    if clutter is None:
+        return 1.0 if not group else 0.0
+    if len(group) > clutter.n_max:
+        return 0.0
+    return float(clutter.tensors[len(group)][tuple(group)])
 
 
 def _signature_counts(
@@ -448,7 +361,9 @@ def posterior_partition_clutter(
     n, d = prior.n_max, prior.space.size
     likelihood = product(_block_functional(terms, d), powers(kernel.tables[0], n), n, d)
     tensors = [t * f for t, f in zip(prior.tensors, likelihood)]
-    density = MultiObjectDensity(prior.space, tensors, symmetrize_input=True)
+    density = MultiObjectDensity(
+        prior.space, tensors, symmetrize_input=True, truncation_mass=prior.truncation_mass
+    )
     return Posterior(density, density.intensity_vector(), log_evidence)
 
 
@@ -561,79 +476,3 @@ def poisson_posterior_intensity(
     if not den > 0.0:
         raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
     return mu * acc / den
-
-
-# ---------------------------------------------------------------------------
-# bivariate-functional oracle
-# ---------------------------------------------------------------------------
-
-
-def posterior_bivariate(
-    prior: MultiObjectDensity,
-    kernel: ObservationKernel,
-    Z: MeasurementSet,
-    clutter: MultiObjectDensity | None = None,
-    *,
-    step: float = 0.5,
-    levels: int = 3,
-) -> Posterior:
-    """Bayes update through the joint functional of (psi, eta), numerically.
-
-    F(psi, eta) = G_clutter(psi) * G_prior(eta * G_single(psi | .)) carries
-    the whole update: differentiating m times in psi at the measurement
-    points and setting psi = 0 gives the unnormalized posterior functional of
-    eta, whose own variations at eta = 0 are the posterior tensors; the same
-    psi-variation at eta = 1 is the evidence. All differentials here are
-    numeric, so this path shares no code with the partition engine. Slow;
-    meant as an oracle on desk-scale instances.
-    """
-    _check_update_spaces(prior, kernel, clutter)
-    z_idx = tuple(kernel.obs_space.indices(Z))
-    d_x, d_z = kernel.state_space.size, kernel.obs_space.size
-
-    def single_object_values(psi: np.ndarray) -> np.ndarray:
-        out = np.zeros(d_x)
-        for m, t in enumerate(kernel.tables):
-            for _ in range(m):
-                t = t @ psi
-            out = out + t / math.factorial(m)
-        return out
-
-    def F(psi: np.ndarray, eta: np.ndarray) -> float:
-        value = evaluate(prior, eta * single_object_values(psi))
-        if clutter is not None:
-            value *= evaluate(clutter, psi)
-        return value
-
-    z_increments = [np.eye(d_z)[i] for i in z_idx]
-    psi0 = np.zeros(d_z)
-
-    def numerator_functional(eta: np.ndarray) -> float:
-        return numeric_differential(
-            lambda psi: F(psi, eta), psi0, z_increments, step=step, levels=levels
-        )
-
-    evidence = numerator_functional(np.ones(d_x))
-    if not evidence > 0.0:
-        raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
-    eta0 = np.zeros(d_x)
-    eye = np.eye(d_x)
-    tensors: list[np.ndarray] = []
-    for k in range(prior.n_max + 1):
-        t = np.zeros((d_x,) * k)
-        for canon in itertools.combinations_with_replacement(range(d_x), k):
-            value = (
-                numeric_differential(
-                    numerator_functional,
-                    eta0,
-                    [eye[i] for i in canon],
-                    step=step,
-                    levels=levels,
-                )
-                / evidence
-            )
-            for perm in set(itertools.permutations(canon)):
-                t[perm] = value
-        tensors.append(t)
-    density = MultiObjectDensity(prior.space, tensors)
-    return Posterior(density, density.intensity_vector(), math.log(evidence))

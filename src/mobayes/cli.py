@@ -21,8 +21,6 @@ import json
 import sys
 from typing import NoReturn
 
-import numpy as np
-
 from .bayes import ZeroEvidence, posterior_partition_clutter
 from .combinatorics import partitions
 from .finite_pp import TruncationOverflow
@@ -95,6 +93,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_partitions(args: argparse.Namespace) -> int:
     if args.m < 0:
         print("--m must be nonnegative", file=sys.stderr)
+        return 1
+    if args.max_block is not None and args.max_block < 1:
+        print("--max-block must be at least 1", file=sys.stderr)
         return 1
     count = 0
     for part in partitions(args.m, args.max_block):

@@ -14,7 +14,10 @@ multiset, so permutation identities hold bitwise, not merely to round-off.
 Code that assembles tensors hands the constructor plain sums. contract() is
 the one coefficient contraction the engines share, and product() the one
 coefficient product of two functionals (superposition, prediction and the
-update numerators); evaluate() stays separate for the oracles.
+update numerators); evaluate() stays separate for the oracles, which read a
+density only through tensor(n), n_max, space and truncation_mass. poisson()
+and the symmetrizing constructor refuse a cap past MAX_TENSOR_AXES, the
+most axes an array can have while symmetrize indexes it.
 """
 
 from __future__ import annotations
@@ -23,13 +26,16 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 NORMALIZATION_TOL = 1e-10
 POISSON_N_MAX_CAP = 16
+# numpy arrays have at most 64 axes (32 before numpy 2), and symmetrizing an
+# n-axis tensor goes through an (n + 1)-axis index array.
+MAX_TENSOR_AXES = (64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32) - 1
 
 
 class TruncationOverflow(RuntimeError):
@@ -112,6 +118,12 @@ def _orbit_maps(shape: tuple[int, ...], groups: tuple[tuple[int, ...], ...]):
     return key, counts
 
 
+def _check_axes(n_max: int) -> None:
+    """Refuse a cardinality cap whose top tensor symmetrize cannot index."""
+    if n_max > MAX_TENSOR_AXES:
+        raise ValueError(f"n_max={n_max} is over the limit of {MAX_TENSOR_AXES} tensor axes")
+
+
 def symmetrize(arr: np.ndarray) -> np.ndarray:
     """Symmetrize over all axes at once."""
     arr = np.asarray(arr, dtype=float)
@@ -162,6 +174,8 @@ class MultiObjectDensity:
         symmetrize_input: bool = False,
         truncation_mass: float = 0.0,
     ):
+        if symmetrize_input:
+            _check_axes(len(tensors) - 1)
         self.space = space
         d = space.size
         fixed: list[np.ndarray] = []
@@ -366,6 +380,7 @@ def poisson(
                 )
     elif n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    _check_axes(n_max)
     scale = math.exp(-lam)
     tensors = [t * scale for t in powers(mu, n_max)]
     return MultiObjectDensity(

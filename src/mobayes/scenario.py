@@ -32,6 +32,7 @@ from .bayes import (
     posterior_partition_clutter,
 )
 from .finite_pp import (
+    MAX_TENSOR_AXES,
     FiniteSpace,
     MultiObjectDensity,
     PoissonSpec,
@@ -39,18 +40,14 @@ from .finite_pp import (
     bernoulli,
     poisson,
 )
-from .prediction import (
-    SurviveMoveBirth,
+from .oracles import (
     build_multiplicative,  # unused here; bench/spans.py wraps mobayes.scenario.build_multiplicative
-    predict,
 )
+from .prediction import SurviveMoveBirth, predict
 
 CONFIG_VERSION = 1
 # Largest coefficient tensor a Poisson block may ask for: d ** n_max entries.
 MAX_TENSOR_ENTRIES = 3**12
-# numpy arrays have at most 64 axes (32 before numpy 2), and symmetrizing an
-# n-axis tensor goes through an (n + 1)-axis index array.
-MAX_TENSOR_AXES = (64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32) - 1
 
 
 class ConfigError(ValueError):

@@ -14,7 +14,6 @@ identical run to run. A check that raises fails with error inf.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import time
@@ -26,7 +25,6 @@ import numpy as np
 from . import instances as inst
 from .bayes import (
     ObservationKernel,
-    posterior_direct,
     posterior_intensity,
     posterior_intensity_clutter,
     posterior_partition,
@@ -34,12 +32,7 @@ from .bayes import (
     poisson_posterior,
     poisson_posterior_intensity,
 )
-from .finite_pp import (
-    FiniteSpace,
-    MultiObjectDensity,
-    PoissonSpec,
-    poisson,
-)
+from .finite_pp import MultiObjectDensity, PoissonSpec, poisson
 from .functional_calculus import (
     BlackBoxFunctional,
     TensorFunctional,
@@ -49,12 +42,14 @@ from .functional_calculus import (
     leibniz,
     numeric_differential,
 )
-from .monomials import (
+from .oracles import (
+    build_multiplicative,
     compose_tensor_with_map,
     mixed_partial_at,
+    posterior_direct,
     tensor_map_component_polys,
 )
-from .prediction import SurviveMoveBirth, build_multiplicative, predict
+from .prediction import SurviveMoveBirth, predict
 from .scenario import load_config, run
 
 

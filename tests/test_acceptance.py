@@ -52,7 +52,7 @@ from mobayes.instances import (
     random_poisson_clutter,
     space,
 )
-from mobayes.monomials import (
+from mobayes.oracles import (
     compose_tensor_with_map,
     mixed_partial_at,
     tensor_map_component_polys,

@@ -286,6 +286,17 @@ class TestPartitionUpdate:
         with pytest.raises(ZeroEvidence):
             posterior_partition(prior, kernel, ["za"] * 3)
 
+    def test_carries_the_prior_truncation_mass(self):
+        """Mass dropped at earlier caps stays on the books through an update."""
+        rng = np.random.default_rng(81)
+        prior = random_density(rng, space(2), 3)
+        prior.truncation_mass = 0.0125
+        kernel = random_kernel(rng, space(2), space(2, "z"), 2)
+        clutter = random_poisson_clutter(rng, space(2, "z"))
+        post = posterior_partition_clutter(prior, kernel, clutter, ["za", "zb"])
+        assert post.density.truncation_mass == prior.truncation_mass
+        assert posterior_partition(prior, kernel, ["zb"]).density.truncation_mass == 0.0125
+
 
 class TestIntensity:
     def test_three_paths_agree(self):

@@ -179,6 +179,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=re.escape(f"prior.n_max={n_max}")):
             load_config(doc)
 
+    def test_explicit_prior_past_the_axis_limit_refused(self):
+        """An explicit prior has no tensor budget, so the prediction cap
+        must refuse what the symmetrizing constructor cannot index."""
+        tensors = [1.0, [0.0]]
+        while len(tensors) <= 64:
+            tensors.append([tensors[-1]])
+        doc = base_config(
+            state_labels=["a"],
+            obs_labels=["u"],
+            n_max=64,
+            prior={"kind": "explicit", "tensors": tensors},
+            kernel={"kind": "detection", "p_detect": [0.5], "likelihood": [[1.0]]},
+            clutter={"kind": "none"},
+            transition={"survival": [0.5], "motion": [[1.0]]},
+        )
+        with pytest.raises(ConfigError, match="transition: n_max=64 "):
+            load_config(doc)
+
     def test_does_not_build_transition_tables(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("transition tables built")
@@ -462,6 +480,29 @@ class TestCommandLine:
         assert "truncation overflow at step 1:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_run_zero_evidence_exit_code(self, tmp_path, capsys):
+        """A sure object plus a likely birth, always detected, against a cap
+        of one: the two measurements the simulation draws are impossible."""
+        doc = base_config(
+            state_labels=["a"],
+            obs_labels=["u"],
+            n_max=1,
+            prior={"kind": "bernoulli", "q": 1.0, "pdf": [1.0]},
+            kernel={"kind": "detection", "p_detect": [1.0], "likelihood": [[1.0]]},
+            clutter={"kind": "none"},
+            transition={
+                "survival": [1.0],
+                "motion": [[1.0]],
+                "birth": {"kind": "bernoulli", "q": 0.9, "pdf": [1.0]},
+                "max_dropped": 1.0,
+            },
+        )
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "zero evidence at step 1:" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--help"])
@@ -517,6 +558,11 @@ class TestCommandLine:
         assert main(["partitions", "--m", "4", "--max-block", "1"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines == ["{0} {1} {2} {3}", "total 1"]
+
+    @pytest.mark.parametrize("cap", ["0", "-2"])
+    def test_partitions_block_cap_below_one_is_a_usage_error(self, cap, capsys):
+        assert main(["partitions", "--m", "3", "--max-block", cap]) == 1
+        assert "--max-block must be at least 1" in capsys.readouterr().err
 
     def test_console_script_entry_point(self):
         proc = subprocess.run(

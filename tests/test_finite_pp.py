@@ -27,6 +27,7 @@ from mobayes import (
     superpose,
 )
 from mobayes.finite_pp import (
+    MAX_TENSOR_AXES,
     contract,
     is_symmetric,
     powers,
@@ -371,6 +372,17 @@ class TestPoisson:
     def test_unreachable_tail_refused(self):
         with pytest.raises(ValueError):
             poisson(PoissonSpec(np.array([4.0, 4.0]), tail_tol=1e-14), space(2))
+
+    def test_cap_past_the_axis_limit_refused(self):
+        """On one state d**n is 1, so only the axis count bounds the cap."""
+        one = FiniteSpace(("a",))
+        assert poisson([0.1], one, n_max=MAX_TENSOR_AXES).n_max == MAX_TENSOR_AXES
+        cap = MAX_TENSOR_AXES + 1
+        with pytest.raises(ValueError, match=f"n_max={cap} "):
+            poisson([0.1], one, n_max=cap)
+        tensors = [np.ones((1,) * n) for n in range(cap + 1)]
+        with pytest.raises(ValueError, match=f"n_max={cap} "):
+            MultiObjectDensity(one, tensors, symmetrize_input=True)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

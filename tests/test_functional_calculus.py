@@ -3,7 +3,7 @@ rule, the subset-sum product rule, and differentiating a variation.
 
 Oracles come from three directions that share no code with the rules
 under test: exact coefficient shifts on stored tensors, symbolic
-polynomial composition (mobayes.monomials), and nested central
+polynomial composition (mobayes.oracles), and nested central
 differences. Truncated generating functionals are polynomials, so the
 numeric paths are exact to round-off at the orders used here.
 """
@@ -26,7 +26,7 @@ from mobayes import (
 )
 from mobayes.functional_calculus import MAX_NUMERIC_ORDER, MAX_PARTITION_ORDER
 from mobayes.instances import random_density, space
-from mobayes.monomials import (
+from mobayes.oracles import (
     compose_tensor_with_map,
     mixed_partial_at,
     tensor_map_component_polys,

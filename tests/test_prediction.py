@@ -24,7 +24,8 @@ from mobayes import (
     predict,
     scalar_product,
 )
-from mobayes.prediction import conditional_slice, predicted_entry
+from mobayes.finite_pp import MAX_TENSOR_AXES
+from mobayes.oracles import conditional_slice, predicted_entry
 from mobayes.instances import random_density, space
 
 
@@ -316,6 +317,12 @@ class TestSurviveMoveBirth:
         big_birth = MultiObjectDensity(sp, [0.5, np.array([0.25, 0.25])])
         with pytest.raises(ValueError, match="birth"):
             SurviveMoveBirth(np.ones(2), np.eye(2), big_birth, n_max=0)
+
+    def test_cap_past_the_axis_limit_refused(self):
+        one = space(1)
+        cap = MAX_TENSOR_AXES + 1
+        with pytest.raises(ValueError, match=f"n_max={cap} "):
+            SurviveMoveBirth(np.ones(1), np.eye(1), empty_birth(one), n_max=cap)
 
 
 class TestPoissonThrough:
