@@ -52,6 +52,7 @@ from .oracles import (
     joint_likelihood,
     posterior_bivariate,
     posterior_direct,
+    posterior_power_series,
 )
 from .prediction import SurviveMoveBirth, predict
 from .scenario import ConfigError, RunRecord, Scenario, load_config, run, simulate
@@ -102,6 +103,7 @@ __all__ = [
     "posterior_intensity_clutter",
     "posterior_partition",
     "posterior_partition_clutter",
+    "posterior_power_series",
     "predict",
     "run",
     "scalar_product",

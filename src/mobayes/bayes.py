@@ -18,11 +18,15 @@ prior's truncation_mass, so mass dropped at earlier caps is not forgotten.
 The brute-force and numeric oracles this engine is checked against live in
 mobayes.oracles.
 
-Partition terms are grouped by the multiset of block contents (sorted
-z-labels per block) and accumulated in sorted signature order. The value of
-a term depends only on that signature, so grouping is lossless; it makes
-results bitwise invariant under reordering of Z and collapses the many
-content-equal partitions that arise when measurements repeat.
+The value of a partition term depends only on its signature: the clutter
+part and the multiset of block contents (sorted z-labels per block). So the
+engine never walks set partitions. _signature_counts walks the partitions
+of the measurement multiset directly, once per signature, and gives each
+the number of set partitions it stands for in closed form; blocks the
+kernel cannot emit, more blocks than the prior's cap and clutter parts past
+the clutter cap are never entered. Terms are accumulated in sorted
+signature order, which makes results bitwise invariant under reordering of
+Z; the set-partition walk survives as a counting oracle in mobayes.oracles.
 
 posterior_intensity* evaluate the first factorial moment directly from the
 partition sum: each partition contributes an appended-increment term (one
@@ -38,13 +42,17 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import Partition, SubsetSplit, partitions, subsets
+from .combinatorics import (
+    partitions,  # unused here; bench/spans.py wraps mobayes.bayes.partitions
+    subsets,  # unused here; bench/spans.py wraps mobayes.bayes.subsets
+)
 from .finite_pp import (
     NORMALIZATION_TOL,
     FiniteSpace,
@@ -188,44 +196,100 @@ def _check_update_spaces(prior, kernel, clutter) -> None:
 def _clutter_value(clutter: MultiObjectDensity | None, group: tuple[int, ...]) -> float:
     if clutter is None:
         return 1.0 if not group else 0.0
-    if len(group) > clutter.n_max:
-        return 0.0
     return float(clutter.tensors[len(group)][tuple(group)])
+
+
+def _sub_multisets(labels, counts, room: int):
+    """Every sub-multiset of at most `room` labels, by bounded extension.
+
+    The multiset holds counts[i] copies of labels[i]. Returns, per
+    sub-multiset, its sorted labels, its count vector and the product of the
+    factorials of its counts; prefixes that are already full are extended
+    by zero copies only.
+    """
+    out = [((), (), 1)]
+    for z, n in zip(labels, counts):
+        out = [
+            (lab + (z,) * k, vec + (k,), den * math.factorial(k))
+            for lab, vec, den in out
+            for k in range(min(n, room - len(lab)) + 1)
+        ]
+    return out
 
 
 def _signature_counts(
     z_idx: tuple[int, ...],
     m_cap: int | None,
     with_clutter: bool = True,
+    *,
+    max_blocks: int | None = None,
+    max_clutter: int | None = None,
 ) -> Counter:
-    """Multiset of content signatures over all (subset, partition) terms.
+    """Content signatures of all (subset, set partition) terms, with counts.
 
     A signature is (clutter part, blocks): the sorted labels handed to
-    clutter and the sorted tuple of per-block sorted z-labels. Without a
-    clutter process only the split that keeps every measurement is walked,
-    so the clutter part is always empty. Terms with equal signatures have
-    equal values, so only counts are kept.
+    clutter and the sorted tuple of per-block sorted z-labels. Terms with
+    equal signatures have equal values, so only counts are kept. The walk
+    runs over partitions of the measurement multiset directly (the idea of
+    Knuth, TAOCP 4A, 7.2.1.5, Algorithm M): choose the clutter part, then
+    split the rest into blocks in canonical order, each block led by the
+    smallest label left and no smaller, as a sorted tuple, than the block
+    before it. Each signature is reached once, and its count of set
+    partitions is prod n_z! / (prod c_z! * prod_blocks prod_z b_z! *
+    prod k_g!) for label counts n, clutter part c, block contents b and k_g
+    repeats of each distinct block.
+
+    Blocks over m_cap labels, more than max_blocks blocks and clutter parts
+    over max_clutter labels are never entered (None: no cap). Without a
+    clutter process the clutter part is always empty.
     """
     m = len(z_idx)
-    splits = subsets(m) if with_clutter else [SubsetSplit(tuple(range(m)), ())]
+    labels = sorted(set(z_idx))
+    n = [z_idx.count(z) for z in labels]
+    cap = m if m_cap is None else m_cap
+    top = m if max_blocks is None else max_blocks
+    c_top = (m if max_clutter is None else max_clutter) if with_clutter else 0
+    total = math.prod(map(math.factorial, n))
+    # block types in sorted-tuple order: those led by one label are contiguous
+    types = sorted(
+        (blk, [(i, k) for i, k in enumerate(vec) if k], den)
+        for blk, vec, den in _sub_multisets(labels, n, cap)[1:]
+    )
+    firsts = [blk[0] for blk, _, _ in types]
+    led_by = [(bisect_left(firsts, z), bisect_right(firsts, z)) for z in labels]
     counts: Counter = Counter()
-    for split in splits:
-        dropped = tuple(sorted(z_idx[i] for i in split.dropped))
-        kept = split.kept
-        # m_cap = 0 (a kernel that never emits) admits only the empty
-        # partition; partitions() itself requires caps >= 1
-        if m_cap == 0:
-            parts = [] if kept else [Partition(())]
-        else:
-            parts = partitions(len(kept), m_cap)
-        for part in parts:
-            sig = tuple(
-                sorted(
-                    tuple(sorted(z_idx[kept[i]] for i in block))
-                    for block in part.blocks
-                )
-            )
-            counts[(dropped, sig)] += 1
+    blocks: list[tuple[int, ...]] = []
+
+    def walk(rest, left, lead, t0, run, den):
+        # rest holds the label counts not yet placed, `left` in all, none
+        # below index lead; the last block has type t0 and is the run-th
+        # equal one in a row; den is the count's denominator so far, and
+        # `dropped` is the clutter part of the loop below
+        if not left:
+            counts[(dropped, tuple(blocks))] = total // den
+            return
+        if (top - len(blocks)) * cap < left:  # the blocks left cannot hold it
+            return
+        while not rest[lead]:
+            lead += 1
+        lo, hi = led_by[lead]
+        for t in range(max(t0, lo), hi):
+            blk, parts, block_den = types[t]
+            for i, k in parts:
+                if rest[i] < k:
+                    break
+            else:
+                for i, k in parts:
+                    rest[i] -= k
+                blocks.append(blk)
+                same = run + 1 if t == t0 else 1
+                walk(rest, left - len(blk), lead, t, same, den * block_den * same)
+                blocks.pop()
+                for i, k in parts:
+                    rest[i] += k
+
+    for dropped, c, c_den in _sub_multisets(labels, n, c_top):
+        walk([a - b for a, b in zip(n, c)], m - len(dropped), 0, 0, 0, c_den)
     return counts
 
 
@@ -267,20 +331,26 @@ def _partition_engine(
 ) -> tuple[float, list[tuple[float, list[np.ndarray]]]]:
     """Log evidence and the normalized terms of the partition-sum update.
 
-    Each distinct signature is one term. Its weight w is the signature count
-    times the clutter density of its clutter part, and its denominator den is
-    the variation of the prior functional at the missed-detection profile
-    with one increment per block. The evidence sum w * den is a log-sum-exp
-    over log|w| + log|den| that carries each term's sign, so evidences far
-    below the smallest double do not underflow. Returns the log evidence
-    and, in sorted signature order, (w / evidence, block vectors) for every
-    term; a term whose denominator is 0 is kept, since its numerator need
-    not vanish.
+    Each distinct signature within the caps (kernel.m_max when pruning,
+    prior.n_max blocks, clutter.n_max clutter labels) is one term. Its
+    weight w is the signature count times the clutter density of its
+    clutter part, and its denominator den is the variation of the prior
+    functional at the missed-detection profile with one increment per
+    block. The evidence sum w * den is a log-sum-exp over log|w| + log|den|
+    that carries each term's sign, so evidences far below the smallest
+    double do not underflow. Returns the log evidence and, in sorted
+    signature order, (w / evidence, block vectors) for every term; a term
+    whose denominator is 0 is kept, since its numerator need not vanish.
     """
     _check_update_spaces(prior, kernel, clutter)
     z_idx = tuple(kernel.obs_space.indices(Z))
-    m_cap = kernel.m_max if prune else None
-    counts = _signature_counts(z_idx, m_cap, clutter is not None)
+    counts = _signature_counts(
+        z_idx,
+        kernel.m_max if prune else None,
+        clutter is not None,
+        max_blocks=prior.n_max,
+        max_clutter=None if clutter is None else clutter.n_max,
+    )
     p0 = kernel.tables[0]
 
     vec_cache: dict[tuple[int, ...], np.ndarray] = {}
@@ -297,7 +367,7 @@ def _partition_engine(
     logs, signs = [], []  # log|weight * den| and its sign, for den != 0
     for (dropped, blocks), cnt in sorted(counts.items()):
         weight = cnt * _clutter_value(clutter, dropped)
-        if weight == 0.0 or len(blocks) > prior.n_max:
+        if weight == 0.0:
             continue
         vecs = block_vectors(blocks)
         terms.append((weight, vecs))

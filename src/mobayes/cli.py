@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success, 1 usage or validation trouble, 2 a run hit a
 measurement set with zero likelihood (the failing step is reported), 3 a
 run's prediction dropped more mass past n_max than transition.max_dropped
-allows (the failing step is reported).
+allows (the failing step is reported, and the outputs of the completed
+steps are written).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 from typing import NoReturn
 
 from .bayes import ZeroEvidence, posterior_partition_clutter
-from .combinatorics import partitions
+from .combinatorics import BELL_MAX, partitions
 from .finite_pp import TruncationOverflow
 from .scenario import ConfigError, load_config, run
 from .verify import format_report, run_checks
@@ -93,6 +94,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_partitions(args: argparse.Namespace) -> int:
     if args.m < 0:
         print("--m must be nonnegative", file=sys.stderr)
+        return 1
+    if args.m > BELL_MAX:
+        print(
+            f"--m must be at most {BELL_MAX}: B({args.m}) partitions are"
+            " outside desk scale",
+            file=sys.stderr,
+        )
         return 1
     if args.max_block is not None and args.max_block < 1:
         print("--max-block must be at least 1", file=sys.stderr)

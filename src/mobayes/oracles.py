@@ -6,9 +6,13 @@ no computation with the engines in bayes and prediction: symbolic
 polynomial composition (poly_*, compose_tensor_with_map, ...), brute-force
 enumeration of measurement assignments (joint_likelihood,
 posterior_direct), numeric differentiation of the joint functional
-(posterior_bivariate), and explicit Chapman-Kolmogorov transition tables
-(TransitionModel, build_multiplicative, conditional_slice,
-predicted_entry), which hold d^(n+m) entries and suit small spaces only.
+(posterior_bivariate), power-series coefficients of the joint functional
+(posterior_power_series), which reaches the measurement counts the engine
+does, a walk over every set partition (signature_counts_by_set_partitions,
+the counting oracle for the engine's signature enumeration), and explicit
+Chapman-Kolmogorov transition tables (TransitionModel,
+build_multiplicative, conditional_slice, predicted_entry), which hold
+d^(n+m) entries and suit small spaces only.
 
 Oracles read a density only through tensor(n), n_max, space and
 truncation_mass, so the engines may change how they store coefficients.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +36,7 @@ from .bayes import (
     ZeroEvidence,
     _check_update_spaces,
 )
+from .combinatorics import Partition, SubsetSplit, partitions, subsets
 from .finite_pp import (
     NORMALIZATION_TOL,
     FiniteSpace,
@@ -307,6 +313,130 @@ def posterior_bivariate(
         tensors.append(t)
     density = MultiObjectDensity(prior.space, tensors)
     return Posterior(density, density.intensity_vector(), math.log(evidence))
+
+
+def _box_series(labels, box, top: int, coefficient) -> np.ndarray:
+    """sum over a in the box, |a| <= top, of coefficient(tuple_a) / prod a_z! t^a."""
+    out = np.zeros(box)
+    for a in np.ndindex(box):
+        if sum(a) <= top:
+            group = tuple(z for z, k in zip(labels, a) for _ in range(k))
+            out[a] = coefficient(group) / math.prod(map(math.factorial, a))
+    return out
+
+
+def _box_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p * q with every power past the box dropped."""
+    out = np.zeros(p.shape)
+    for a in np.ndindex(q.shape):
+        if q[a] != 0.0:
+            shifted = tuple(slice(k, None) for k in a)
+            kept = tuple(slice(0, s - k) for s, k in zip(p.shape, a))
+            out[shifted] += q[a] * p[kept]
+    return out
+
+
+def posterior_power_series(
+    prior: MultiObjectDensity,
+    kernel: ObservationKernel,
+    Z: MeasurementSet,
+    clutter: MultiObjectDensity | None = None,
+) -> Posterior:
+    """Exact Bayes from power-series coefficients of the joint functional.
+
+    F(psi, eta) = G_clutter(psi) * G_prior(eta * g(psi | .)), with the
+    single-object emission functional g(psi | x) = sum_m (1/m!)
+    r_m(. | x)[psi^m]. Put psi = sum_z t_z delta_z over the labels of Z,
+    which occur n_z times. Then g(psi | x) and G_clutter(psi) are
+    polynomials in t whose coefficient at t^a is r_|a|(tuple_a | x) /
+    prod a_z! and c_|a|(tuple_a) / prod a_z!, and the likelihood of Z given
+    objects with state counts c is L(c) = prod n_z! [t^n] (G_clutter
+    prod_x g_x^c_x). Polynomials are dense arrays over the box
+    prod_z (n_z + 1), since powers past n never reach t^n; every state
+    multiset with at most n_max objects is reached by c -> c + e_x, one
+    truncated box product with g_x per step. The posterior tensors are
+    p_k(x) L(c(x)) / evidence.
+
+    No partitions, subsets, contract or product are involved. The box is
+    polynomial in |Z| while the labels repeat, but has 2^|Z| entries when
+    all measurement labels are distinct, so this oracle suits small
+    observation spaces.
+    """
+    _check_update_spaces(prior, kernel, clutter)
+    z_idx = kernel.obs_space.indices(Z)
+    labels = sorted(set(z_idx))
+    n = tuple(z_idx.count(z) for z in labels)
+    box = tuple(k + 1 for k in n)
+    scale = math.prod(map(math.factorial, n))
+    d = prior.space.size
+    emit = [
+        _box_series(labels, box, kernel.m_max, lambda g, x=x: _group_density(kernel, x, g))
+        for x in range(d)
+    ]
+    clutter_cap = 0 if clutter is None else clutter.n_max
+    start = _box_series(labels, box, clutter_cap, lambda g: _clutter_density(clutter, g))
+    like: dict[tuple[int, ...], float] = {}  # sorted state tuple -> L
+
+    def walk(poly: np.ndarray, states: tuple[int, ...]) -> None:
+        like[states] = scale * float(poly[n])
+        if len(states) < prior.n_max:
+            for x in range(states[-1] if states else 0, d):
+                walk(_box_product(poly, emit[x]), states + (x,))
+
+    walk(start, ())
+    tensors = [prior.tensor(0) * like[()]]
+    for k in range(1, prior.n_max + 1):
+        cells = np.sort(np.indices((d,) * k).reshape(k, -1), axis=0)
+        canon, where = np.unique(cells, axis=1, return_inverse=True)
+        values = np.array([like[tuple(int(x) for x in col)] for col in canon.T])
+        tensors.append(prior.tensor(k) * values[where.ravel()].reshape((d,) * k))
+    evidence = sum(float(np.sum(t)) / math.factorial(k) for k, t in enumerate(tensors))
+    if not evidence > 0.0:
+        raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
+    density = MultiObjectDensity(prior.space, [t / evidence for t in tensors])
+    return Posterior(density, density.intensity_vector(), math.log(evidence))
+
+
+# ---------------------------------------------------------------------------
+# signature counting by set partitions
+# ---------------------------------------------------------------------------
+
+
+def signature_counts_by_set_partitions(
+    z_idx: tuple[int, ...],
+    m_cap: int | None,
+    with_clutter: bool = True,
+) -> Counter:
+    """Content signatures of all (subset, set partition) terms, by walking them.
+
+    Every kept/dropped split of the measurement positions and every set
+    partition of the kept positions (blocks of at most m_cap) is visited,
+    and its signature (sorted clutter labels, sorted tuple of sorted
+    blocks) counted; without a clutter process only the split that keeps
+    everything is walked. This is the counting oracle for
+    bayes._signature_counts: B(m) partitions per split, so small m only.
+    """
+    m = len(z_idx)
+    splits = subsets(m) if with_clutter else [SubsetSplit(tuple(range(m)), ())]
+    counts: Counter = Counter()
+    for split in splits:
+        dropped = tuple(sorted(z_idx[i] for i in split.dropped))
+        kept = split.kept
+        # m_cap = 0 (a kernel that never emits) admits only the empty
+        # partition; partitions() itself requires caps >= 1
+        if m_cap == 0:
+            parts = [] if kept else [Partition(())]
+        else:
+            parts = partitions(len(kept), m_cap)
+        for part in parts:
+            sig = tuple(
+                sorted(
+                    tuple(sorted(z_idx[kept[i]] for i in block))
+                    for block in part.blocks
+                )
+            )
+            counts[(dropped, sig)] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -415,9 +415,10 @@ def run(
 
     Measurements default to a fresh simulate() draw. Returns the records
     plus the step at which evidence hit zero (None when the run finished).
-    A TruncationOverflow from predict propagates with its step set.
-    Row 0 describes the prior itself. When out_dir is given, writes
-    run.csv and summary.json there.
+    A TruncationOverflow from predict propagates with its step set, after
+    the outputs of the completed steps are written. Row 0 describes the
+    prior itself. When out_dir is given, writes run.csv and summary.json
+    there.
     """
     if measurement_sets is None:
         _, measurement_sets = simulate(scenario)
@@ -432,6 +433,7 @@ def run(
         )
     ]
     failed_step: int | None = None
+    overflow: TruncationOverflow | None = None
     for k, z in enumerate(measurement_sets, start=1):
         try:
             predicted = predict(
@@ -439,7 +441,8 @@ def run(
             )
         except TruncationOverflow as exc:
             exc.step = k
-            raise
+            overflow = exc
+            break
         predicted = predicted.scaled(1.0 / predicted.total_mass())
         try:
             post = posterior_partition_clutter(
@@ -451,7 +454,15 @@ def run(
         records.append(_record(k, list(z), post))
         belief = post.density
     if out_dir is not None:
-        write_outputs(scenario, records, failed_step, out_dir)
+        write_outputs(
+            scenario,
+            records,
+            failed_step,
+            out_dir,
+            overflow_step=None if overflow is None else overflow.step,
+        )
+    if overflow is not None:
+        raise overflow
     return records, failed_step
 
 
@@ -460,8 +471,14 @@ def write_outputs(
     records: list[RunRecord],
     failed_step: int | None,
     out_dir: str | os.PathLike,
+    *,
+    overflow_step: int | None = None,
 ) -> None:
-    """run.csv (fixed column order) and summary.json, both reproducible."""
+    """run.csv (fixed column order) and summary.json, both reproducible.
+
+    failed_step and overflow_step name the step at which evidence hit zero
+    or prediction overflowed its truncation budget; None when it did not.
+    """
     os.makedirs(out_dir, exist_ok=True)
     labels = scenario.state_space.labels
     header = (
@@ -488,6 +505,7 @@ def write_outputs(
         "completed_steps": len(records) - 1,
         "zero_evidence_step": failed_step,
         "total_log_evidence": sum(r.log_evidence for r in records),
+        "truncation_overflow_step": overflow_step,
         "records": [
             {
                 "step": r.step,

@@ -4,7 +4,8 @@ Each check sweeps randomized desk-scale instances and reports the worst
 observed deviation against a stated tolerance. Levels: "fast" keeps spaces
 at two points and measurement sets at three, sized to finish in seconds;
 "full" raises sizes to three states and four measurements and multiplies
-instance counts.
+instance counts. The power-series check, whose oracle is not brute force,
+reaches seven measurements (fast) and ten (full).
 
 Checks are independent, so they run on a thread pool sized to the CPUs
 this process may use, at most four. Seeds are fixed per check, results are
@@ -47,6 +48,7 @@ from .oracles import (
     compose_tensor_with_map,
     mixed_partial_at,
     posterior_direct,
+    posterior_power_series,
     tensor_map_component_polys,
 )
 from .prediction import SurviveMoveBirth, predict
@@ -122,6 +124,33 @@ def check_clutter_update_against_direct(level: str) -> tuple[float, str]:
         worst = max(worst, _tensor_gap(a.density, b.density))
         worst = max(worst, abs(math.exp(a.log_evidence) - math.exp(b.log_evidence)))
     return worst, f"{count} instances, alternating explicit/Poisson clutter"
+
+
+def check_update_against_power_series(level: str) -> tuple[float, str]:
+    """The engine past the reach of brute force, against the power series."""
+    d_x, d_z, n_cap, _ = _dims(level)
+    count = _sweep_sizes(level, 12, 30)
+    m_top = 7 if level == "fast" else 10
+    rng = np.random.default_rng(1111)
+    X, Zs = inst.space(d_x), inst.space(d_z, "z")
+    worst = 0.0
+    for i in range(count):
+        n_max = int(rng.integers(1, n_cap + 1))
+        m_max = int(rng.integers(1, 3))
+        prior = inst.random_density(rng, X, n_max)
+        kernel = inst.random_kernel(rng, X, Zs, m_max)
+        clutter = (
+            inst.random_clutter(rng, Zs, int(rng.integers(1, 4)))
+            if i % 2
+            else inst.random_poisson_clutter(rng, Zs, n_max=4)
+        )
+        m = int(rng.integers(0, min(m_top, n_max * m_max + clutter.n_max) + 1))
+        Z = inst.random_measurements(rng, Zs, m)
+        a = posterior_partition_clutter(prior, kernel, clutter, Z)
+        b = posterior_power_series(prior, kernel, Z, clutter)
+        worst = max(worst, _tensor_gap(a.density, b.density))
+        worst = max(worst, abs(a.log_evidence - b.log_evidence))
+    return worst, f"{count} instances, |Z| up to {m_top}"
 
 
 def check_intensity_three_ways(level: str) -> tuple[float, str]:
@@ -391,6 +420,7 @@ CHECKS = [
     ("normalization-and-order-invariance", 1e-10, check_normalization_and_order),
     ("prediction-mass-and-poisson-intensity", 1e-9, check_prediction),
     ("run-reproducibility", 0.0, check_run_reproducibility),
+    ("update-vs-power-series", 1e-10, check_update_against_power_series),
 ]
 
 

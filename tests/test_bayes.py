@@ -9,6 +9,7 @@ because the full randomized load lives in test_acceptance and `verify`.
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -31,9 +32,11 @@ from mobayes import (
     posterior_intensity_clutter,
     posterior_partition,
     posterior_partition_clutter,
+    posterior_power_series,
 )
 from mobayes.instances import (
     feasible_measurements,
+    random_clutter,
     random_density,
     random_detection_kernel,
     random_kernel,
@@ -296,6 +299,65 @@ class TestPartitionUpdate:
         post = posterior_partition_clutter(prior, kernel, clutter, ["za", "zb"])
         assert post.density.truncation_mass == prior.truncation_mass
         assert posterior_partition(prior, kernel, ["zb"]).density.truncation_mass == 0.0125
+
+    def test_fourteen_measurements_within_a_second(self):
+        """Past brute force and past any set-partition walk: 14 measurements
+        over 3 labels, two per object, up to four clutter points."""
+        rng = np.random.default_rng(82)
+        X, Zs = space(3), space(3, "z")
+        prior = random_density(rng, X, 6)
+        kernel = random_kernel(rng, X, Zs, 2)
+        clutter = random_poisson_clutter(rng, Zs, n_max=4)
+        Z = random_measurements(rng, Zs, 14)
+        start = time.perf_counter()
+        post = posterior_partition_clutter(prior, kernel, clutter, Z)
+        assert time.perf_counter() - start < 1.0
+        assert abs(post.density.total_mass() - 1.0) < 1e-10
+
+
+class TestPowerSeriesOracle:
+    """The joint functional's power-series coefficients, with no partitions."""
+
+    def test_matches_direct(self):
+        rng = np.random.default_rng(83)
+        for i in range(30):
+            d_x, d_z = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            X, Zs = space(d_x), space(d_z, "z")
+            n_max = int(rng.integers(1, 4))
+            prior = random_density(rng, X, n_max)
+            kernel = random_kernel(rng, X, Zs, int(rng.integers(1, 3)))
+            clutter = (
+                None,
+                random_clutter(rng, Zs, 2),
+                random_poisson_clutter(rng, Zs, n_max=2),
+            )[i % 3]
+            cap = n_max * kernel.m_max + (0 if clutter is None else clutter.n_max)
+            Z = random_measurements(rng, Zs, int(rng.integers(0, min(cap, 5) + 1)))
+            series = posterior_power_series(prior, kernel, Z, clutter)
+            brute = posterior_direct(prior, kernel, Z, clutter)
+            assert tensor_gap(series.density, brute.density) < 1e-12
+            assert abs(series.log_evidence - brute.log_evidence) < 1e-12
+            np.testing.assert_allclose(series.intensity, brute.intensity, atol=1e-12)
+
+    @pytest.mark.parametrize("n_max", [4, 6])
+    def test_matches_the_engine_at_twelve_to_fourteen_measurements(self, n_max):
+        rng = np.random.default_rng(84 + n_max)
+        X, Zs = space(3), space(3, "z")
+        for m in (12, 13, 14):
+            prior = random_density(rng, X, n_max)
+            kernel = random_kernel(rng, X, Zs, 2)
+            clutter = random_poisson_clutter(rng, Zs, n_max=4)
+            Z = random_measurements(rng, Zs, m)
+            if m > n_max * 2 + 4:  # more than the objects and clutter can emit
+                with pytest.raises(ZeroEvidence):
+                    posterior_partition_clutter(prior, kernel, clutter, Z)
+                with pytest.raises(ZeroEvidence):
+                    posterior_power_series(prior, kernel, Z, clutter)
+                continue
+            engine = posterior_partition_clutter(prior, kernel, clutter, Z)
+            series = posterior_power_series(prior, kernel, Z, clutter)
+            assert tensor_gap(engine.density, series.density) < 1e-12
+            assert abs(engine.log_evidence - series.log_evidence) < 1e-12
 
 
 class TestIntensity:

@@ -18,6 +18,7 @@ import pytest
 
 from mobayes import ConfigError, TruncationOverflow, bell, load_config, run, simulate, verify
 from mobayes.cli import main
+from mobayes.combinatorics import BELL_MAX
 from mobayes.scenario import write_outputs
 
 
@@ -405,6 +406,23 @@ class TestOutputs:
             )
         assert outs[0] == outs[1]
 
+    def test_overflow_writes_the_completed_steps(self, tmp_path):
+        transition = dict(base_config()["transition"], max_dropped=2e-2)
+        sc = load_config(base_config(n_max=2, transition=transition, steps=6))
+        with pytest.raises(TruncationOverflow) as exc:
+            run(sc, tmp_path)
+        assert exc.value.step == 3
+        with open(tmp_path / "run.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][:2] == ["step", "log_evidence"]
+        assert [row[0] for row in rows[1:]] == ["0", "1", "2"]
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert doc["truncation_overflow_step"] == 3
+        assert doc["completed_steps"] == 2 and doc["zero_evidence_step"] is None
+        run(load_config(base_config(steps=2)), tmp_path / "clean")
+        clean = json.loads((tmp_path / "clean" / "summary.json").read_text())
+        assert clean["truncation_overflow_step"] is None
+
     def test_failed_step_recorded(self, tmp_path):
         sc = load_config(base_config(clutter={"kind": "none"}, steps=1))
         write_outputs(sc, run(sc, measurement_sets=[["u"] * 9])[0], 1, tmp_path)
@@ -563,6 +581,12 @@ class TestCommandLine:
     def test_partitions_block_cap_below_one_is_a_usage_error(self, cap, capsys):
         assert main(["partitions", "--m", "3", "--max-block", cap]) == 1
         assert "--max-block must be at least 1" in capsys.readouterr().err
+
+    def test_partitions_past_the_bell_limit_is_a_usage_error(self, capsys):
+        assert main(["partitions", "--m", str(BELL_MAX + 10)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--m must be at most {BELL_MAX}" in captured.err
 
     def test_console_script_entry_point(self):
         proc = subprocess.run(
