@@ -8,16 +8,13 @@ numeric and table oracles they are verified against live in oracles.
 """
 
 from .bayes import (
-    ClutterProcess,
     MeasurementSet,
     ObservationKernel,
     Posterior,
     ZeroEvidence,
     poisson_posterior,
     poisson_posterior_intensity,
-    posterior_intensity,
     posterior_intensity_clutter,
-    posterior_partition,
     posterior_partition_clutter,
 )
 from .combinatorics import Partition, SubsetSplit, bell, partitions, subsets
@@ -61,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlackBoxFunctional",
-    "ClutterProcess",
     "ConfigError",
     "FiniteSpace",
     "MeasurementSet",
@@ -99,9 +95,7 @@ __all__ = [
     "poisson_posterior_intensity",
     "posterior_bivariate",
     "posterior_direct",
-    "posterior_intensity",
     "posterior_intensity_clutter",
-    "posterior_partition",
     "posterior_partition_clutter",
     "posterior_power_series",
     "predict",

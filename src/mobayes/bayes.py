@@ -1,12 +1,14 @@
 """Multi-object Bayes updates on finite spaces: the partition-sum engine.
 
-Given a prior multi-object density, a per-object measurement-group kernel
-and an observed measurement set Z, posterior_partition and
-posterior_partition_clutter compute the posterior by the generating-
-functional route. Each set partition of Z contributes one variation of the
-prior functional taken at the missed-detection profile, with one increment
-per block; clutter adds an outer sum over the subset of Z explained by the
-clutter process. Evidence is the same sum with no free measurement points.
+Given a prior multi-object density, a per-object measurement-group kernel,
+an optional clutter process and an observed measurement set Z,
+posterior_partition_clutter computes the posterior by the generating-
+functional route; clutter=None is the update without clutter, the same sum
+with the clutter factor set to one. Each set partition of Z contributes one
+variation of the prior functional taken at the missed-detection profile,
+with one increment per block; clutter adds an outer sum over the subset of
+Z explained by the clutter process. Evidence is the same sum with no free
+measurement points.
 There is one numeric path: the evidence is a signed log-sum-exp over the
 terms, and each term's numerator is scaled by its weight over the evidence,
 so evidences far below the smallest double never underflow. Every variation
@@ -28,14 +30,14 @@ the clutter cap are never entered. Terms are accumulated in sorted
 signature order, which makes results bitwise invariant under reordering of
 Z; the set-partition walk survives as a counting oracle in mobayes.oracles.
 
-posterior_intensity* evaluate the first factorial moment directly from the
-partition sum: each partition contributes an appended-increment term (one
-extra Dirac increment weighted by the missed-detection profile) plus one
-replaced-increment term per block (that block's increment localized at the
-query point). Poisson priors additionally get closed forms in which every
-variation collapses to a product of scalars mu[P_block]; they share the
-signature enumeration, _block_functional, product and powers with the
-engine, so they are not independent oracles.
+posterior_intensity_clutter evaluates the first factorial moment directly
+from the partition sum: each partition contributes an appended-increment
+term (one extra Dirac increment weighted by the missed-detection profile)
+plus one replaced-increment term per block (that block's increment
+localized at the query point). Poisson priors additionally get closed
+forms in which every variation collapses to a product of scalars
+mu[P_block]; they share the signature enumeration, _block_functional,
+product and powers with the engine, so they are not independent oracles.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ from .finite_pp import (
     MultiObjectDensity,
     PoissonSpec,
     _as_test_function,
+    _poisson_cap,
     contract,
-    poisson as poisson_density,
     powers,
     product,
     symmetrize,  # unused here; bench/spans.py wraps mobayes.bayes.symmetrize
@@ -68,7 +70,6 @@ from .finite_pp import (
 )
 
 MeasurementSet = Sequence[str | int]
-ClutterProcess = MultiObjectDensity
 
 
 class ZeroEvidence(RuntimeError):
@@ -293,6 +294,19 @@ def _signature_counts(
     return counts
 
 
+def _signature_terms(counts: Counter, kernel: ObservationKernel):
+    """(count, clutter part, block vectors) per signature, in sorted order.
+
+    Blocks with equal contents share one group vector.
+    """
+    vectors: dict[tuple[int, ...], np.ndarray] = {}
+    for (dropped, blocks), cnt in sorted(counts.items()):
+        for content in blocks:
+            if content not in vectors:
+                vectors[content] = kernel.group_vector(content)
+        yield cnt, dropped, [vectors[content] for content in blocks]
+
+
 def _block_functional(terms, d: int) -> list[np.ndarray]:
     """Coefficients B_p of sum over terms of scale * prod_i v_i[h].
 
@@ -352,24 +366,12 @@ def _partition_engine(
         max_clutter=None if clutter is None else clutter.n_max,
     )
     p0 = kernel.tables[0]
-
-    vec_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def block_vectors(blocks):
-        vecs = []
-        for content in blocks:
-            if content not in vec_cache:
-                vec_cache[content] = kernel.group_vector(content)
-            vecs.append(vec_cache[content])
-        return vecs
-
     terms = []  # (weight, block vectors)
     logs, signs = [], []  # log|weight * den| and its sign, for den != 0
-    for (dropped, blocks), cnt in sorted(counts.items()):
+    for cnt, dropped, vecs in _signature_terms(counts, kernel):
         weight = cnt * _clutter_value(clutter, dropped)
         if weight == 0.0:
             continue
-        vecs = block_vectors(blocks)
         terms.append((weight, vecs))
         den = float(contract(prior.tensors, vecs, p0))
         if den != 0.0:
@@ -386,33 +388,6 @@ def _partition_engine(
     ]
 
 
-def posterior_partition(
-    prior: MultiObjectDensity,
-    kernel: ObservationKernel,
-    Z: MeasurementSet,
-    *,
-    prune: bool = True,
-) -> Posterior:
-    """Partition-sum Bayes update without clutter.
-
-    The returned intensity is the first factorial moment of the computed
-    density (differentiate-the-posterior path); posterior_intensity evaluates
-    the same quantity from the partition sum directly.
-    """
-    return posterior_partition_clutter(prior, kernel, None, Z, prune=prune)
-
-
-def posterior_intensity(
-    prior: MultiObjectDensity,
-    kernel: ObservationKernel,
-    Z: MeasurementSet,
-    *,
-    prune: bool = True,
-) -> np.ndarray:
-    """Posterior intensity from the partition sum (no density assembly)."""
-    return posterior_intensity_clutter(prior, kernel, None, Z, prune=prune)
-
-
 def posterior_partition_clutter(
     prior: MultiObjectDensity,
     kernel: ObservationKernel,
@@ -425,7 +400,10 @@ def posterior_partition_clutter(
 
     Sums over the subset of Z attributed to objects; the complement is
     weighted by the clutter process's density at those points. clutter=None
-    means no clutter process: every measurement comes from an object.
+    means no clutter process: every measurement comes from an object. The
+    returned intensity is the first factorial moment of the computed
+    density; posterior_intensity_clutter evaluates the same quantity from
+    the partition sum directly.
     """
     log_evidence, terms = _partition_engine(prior, kernel, Z, clutter, prune)
     n, d = prior.n_max, prior.space.size
@@ -459,16 +437,36 @@ def posterior_intensity_clutter(
 # ---------------------------------------------------------------------------
 
 
-def _poisson_partition_terms(mu, kernel, z_idx, prune: bool):
-    """Sorted signature terms with their scalar products mu[P_block]."""
-    m_cap = kernel.m_max if prune else None
-    counts = _signature_counts(z_idx, m_cap, with_clutter=False)
-    terms = []
-    for (_, blocks), cnt in sorted(counts.items()):
-        vecs = [kernel.group_vector(content) for content in blocks]
-        scalars = [float(mu @ v) for v in vecs]
-        terms.append((float(cnt), vecs, scalars))
-    return terms
+def _poisson_terms(mu, kernel, Z, prune: bool):
+    """Sorted signature terms (count, block vectors, scalars mu[P_block])."""
+    z_idx = tuple(kernel.obs_space.indices(Z))
+    counts = _signature_counts(z_idx, kernel.m_max if prune else None, with_clutter=False)
+    return [
+        (float(cnt), vecs, [float(mu @ v) for v in vecs])
+        for cnt, _, vecs in _signature_terms(counts, kernel)
+    ]
+
+
+def _poisson_intensity(mu, p0, terms, Z) -> tuple[np.ndarray, float]:
+    """Closed-form posterior intensity and the partition sum it divides by.
+
+    M_1(x) = mu(x) * sum over partitions of
+    [prod_i mu[P_i] * p0(x) + sum_i prod_{j != i} mu[P_j] * P_i(x)],
+    normalized by the partition sum of plain products. The replaced factor is
+    expanded without dividing by mu[P_i] so zero-mass blocks stay harmless.
+    """
+    den = 0.0
+    acc = np.zeros(mu.size)
+    for cnt, vecs, scalars in terms:
+        prod_all = math.prod(scalars)
+        den += cnt * prod_all
+        bracket = prod_all * p0
+        for i, v in enumerate(vecs):
+            bracket = bracket + math.prod(scalars[:i] + scalars[i + 1 :]) * v
+        acc += cnt * bracket
+    if not den > 0.0:
+        raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
+    return mu * acc / den, den
 
 
 def poisson_posterior(
@@ -485,32 +483,25 @@ def poisson_posterior(
     partition contributes just the product of scalars mu[P_block]; the
     posterior is the superposition of a Poisson with intensity mu * p0 and a
     partition mixture of per-block point densities mu * P_block, one
-    finite_pp.product of the block functional and exp(nu[h]).
+    finite_pp.product of the block functional and exp(nu[h]). n_max follows
+    finite_pp.poisson's rule.
     """
     if not isinstance(spec, PoissonSpec):
         spec = PoissonSpec(np.asarray(spec, dtype=float))
     mu = _as_test_function(kernel.state_space, spec.intensity)
-    reference = poisson_density(spec, kernel.state_space, n_max)
-    n_max = reference.n_max
-    z_idx = tuple(kernel.obs_space.indices(Z))
+    n_max = _poisson_cap(spec, float(mu.sum()), n_max)
     p0 = kernel.tables[0]
-    nu = mu * p0
-    terms = _poisson_partition_terms(mu, kernel, z_idx, prune)
-    partition_total = 0.0
-    for cnt, _, scalars in terms:
-        partition_total += cnt * math.prod(scalars)
-    if not partition_total > 0.0:
-        raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
+    terms = _poisson_terms(mu, kernel, Z, prune)
+    intensity, partition_total = _poisson_intensity(mu, p0, terms, Z)
     d = kernel.state_space.size
+    nu = mu * p0
     scale = math.exp(-float(nu.sum())) / partition_total
     kept = [(cnt * scale, [mu * v for v in vs]) for cnt, vs, _ in terms if len(vs) <= n_max]
     tensors = product(_block_functional(kept, d), powers(nu, n_max), n_max, d)
     density = MultiObjectDensity(kernel.state_space, tensors, symmetrize_input=True)
     density.truncation_mass = max(0.0, 1.0 - density.total_mass())
     log_evidence = float(mu @ (p0 - 1.0)) + math.log(partition_total)
-    return Posterior(
-        density, poisson_posterior_intensity(spec, kernel, Z, prune=prune), log_evidence
-    )
+    return Posterior(density, intensity, log_evidence)
 
 
 def poisson_posterior_intensity(
@@ -522,27 +513,11 @@ def poisson_posterior_intensity(
 ) -> np.ndarray:
     """Closed-form posterior intensity for a Poisson prior.
 
-    M_1(x) = mu(x) * sum over partitions of
-    [prod_i mu[P_i] * p0(x) + sum_i prod_{j != i} mu[P_j] * P_i(x)],
-    normalized by the partition sum of plain products. The replaced factor is
-    expanded without dividing by mu[P_i] so zero-mass blocks stay harmless.
+    It builds no tensor, so it works at any d and at rates past
+    finite_pp.POISSON_N_MAX_CAP.
     """
     if not isinstance(spec, PoissonSpec):
         spec = PoissonSpec(np.asarray(spec, dtype=float))
     mu = _as_test_function(kernel.state_space, spec.intensity)
-    z_idx = tuple(kernel.obs_space.indices(Z))
-    p0 = kernel.tables[0]
-    terms = _poisson_partition_terms(mu, kernel, z_idx, prune)
-    den = 0.0
-    acc = np.zeros(kernel.state_space.size)
-    for cnt, vecs, scalars in terms:
-        prod_all = math.prod(scalars)
-        den += cnt * prod_all
-        bracket = prod_all * p0
-        for i, v in enumerate(vecs):
-            partial = math.prod(scalars[:i] + scalars[i + 1 :])
-            bracket = bracket + partial * v
-        acc += cnt * bracket
-    if not den > 0.0:
-        raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
-    return mu * acc / den
+    terms = _poisson_terms(mu, kernel, Z, prune)
+    return _poisson_intensity(mu, kernel.tables[0], terms, Z)[0]

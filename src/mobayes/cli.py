@@ -6,9 +6,11 @@ Subcommands:
   update     one Bayes update against a config's prior, measurements given
              on the command line; prints the posterior as JSON
   verify     property sweeps with pass/fail lines; exit 0 iff all pass
-  partitions debug enumeration of set partitions
+  partitions debug enumeration of set partitions; refused, before any
+             line is printed, when more than PARTITIONS_PRINT_MAX would be
 
-Exit codes: 0 success, 1 usage or validation trouble, 2 a run hit a
+Exit codes: 0 success, 1 usage or validation trouble (including a
+partitions listing over PARTITIONS_PRINT_MAX), 2 a run hit a
 measurement set with zero likelihood (the failing step is reported), 3 a
 run's prediction dropped more mass past n_max than transition.max_dropped
 allows (the failing step is reported, and the outputs of the completed
@@ -23,10 +25,13 @@ import sys
 from typing import NoReturn
 
 from .bayes import ZeroEvidence, posterior_partition_clutter
-from .combinatorics import BELL_MAX, partitions
+from .combinatorics import BELL_MAX, partition_count, partitions
 from .finite_pp import TruncationOverflow
 from .scenario import ConfigError, load_config, run
 from .verify import format_report, run_checks
+
+# the most partitions the partitions subcommand prints; B(11) = 678,570 fit
+PARTITIONS_PRINT_MAX = 10**6
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -105,12 +110,18 @@ def _cmd_partitions(args: argparse.Namespace) -> int:
     if args.max_block is not None and args.max_block < 1:
         print("--max-block must be at least 1", file=sys.stderr)
         return 1
-    count = 0
+    total = partition_count(args.m, args.max_block)
+    if total > PARTITIONS_PRINT_MAX:
+        print(
+            f"--m {args.m} has {total} partitions, over the {PARTITIONS_PRINT_MAX}"
+            " this command prints; lower --m or --max-block",
+            file=sys.stderr,
+        )
+        return 1
     for part in partitions(args.m, args.max_block):
-        count += 1
         blocks = " ".join("{" + ",".join(str(i) for i in block) + "}" for block in part.blocks)
         print(blocks if blocks else "{}")
-    print(f"total {count}")
+    print(f"total {total}")
     return 0
 
 

@@ -8,6 +8,7 @@ many partitions are produced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -107,6 +108,19 @@ def subsets(m: int) -> Iterator[SubsetSplit]:
         kept = tuple(i for i in universe if mask >> i & 1)
         dropped = tuple(i for i in universe if not mask >> i & 1)
         yield SubsetSplit(kept, dropped)
+
+
+def partition_count(m: int, max_block: int | None = None) -> int:
+    """How many partitions partitions(m, max_block) yields, without the walk.
+
+    p[0] = 1, and p[i] sums C(i-1, j) p[i-1-j] over j < max_block, the
+    number of other elements in the block of the first element.
+    """
+    cap = m if max_block is None else max_block
+    p = [1]
+    for i in range(1, m + 1):
+        p.append(sum(math.comb(i - 1, j) * p[i - 1 - j] for j in range(min(cap, i))))
+    return p[m]
 
 
 def bell(m: int) -> int:

@@ -369,6 +369,17 @@ def poisson(
         spec = PoissonSpec(np.asarray(spec, dtype=float))
     mu = _as_test_function(space, spec.intensity)
     lam = float(mu.sum())
+    n_max = _poisson_cap(spec, lam, n_max)
+    scale = math.exp(-lam)
+    tensors = [t * scale for t in powers(mu, n_max)]
+    return MultiObjectDensity(
+        space, tensors, symmetrize_input=True, truncation_mass=_poisson_tail(lam, n_max)
+    )
+
+
+def _poisson_cap(spec: PoissonSpec, lam: float, n_max: int | None) -> int:
+    """poisson()'s cardinality cap at total intensity lam, checked before
+    any tensor is built (bayes.poisson_posterior shares it)."""
     if n_max is None:
         n_max = 0
         while _poisson_tail(lam, n_max) >= spec.tail_tol:
@@ -381,11 +392,7 @@ def poisson(
     elif n_max < 0:
         raise ValueError("n_max must be nonnegative")
     _check_axes(n_max)
-    scale = math.exp(-lam)
-    tensors = [t * scale for t in powers(mu, n_max)]
-    return MultiObjectDensity(
-        space, tensors, symmetrize_input=True, truncation_mass=_poisson_tail(lam, n_max)
-    )
+    return n_max
 
 
 def bernoulli(

@@ -550,9 +550,12 @@ def build_multiplicative(
     positions carry the birth density and the unmatched prior objects the
     death probability.
 
-    The inputs are validated by constructing the SurviveMoveBirth model,
-    which computes the same prediction by composition; these tables are its
-    test and verify oracle.
+    The method is plain enumeration of survivors times injections, kept as
+    an oracle; each term starts from the scalar 1.0 and takes its factors through
+    None-indexed broadcasting, so only the accumulation spans all
+    d^(n+m) entries. The inputs are validated by constructing the
+    SurviveMoveBirth model, which computes the same prediction by
+    composition; these tables are its test and verify oracle.
 
     Raises TruncationOverflow if clipping predicted cardinality at n_max
     drops more than max_dropped probability for some y-tuple.
@@ -566,15 +569,14 @@ def build_multiplicative(
     for m in range(m_max + 1):
         row: list[np.ndarray] = []
         for n in range(n_max + 1):
-            shape = (d,) * (n + m)
-            acc = np.zeros(shape)
+            acc = np.zeros((d,) * (n + m))
             for a in range(0, min(n, m) + 1):
                 if n - a > birth.n_max:
                     continue
                 for survivors in itertools.combinations(range(n), a):
                     rest = [i for i in range(n) if i not in survivors]
                     for tau in itertools.permutations(range(m), a):
-                        term = np.ones(shape)
+                        term = 1.0
                         for i, j in zip(survivors, tau):
                             sl = [None] * (n + m)
                             sl[i] = slice(None)

@@ -5,7 +5,9 @@ observed deviation against a stated tolerance. Levels: "fast" keeps spaces
 at two points and measurement sets at three, sized to finish in seconds;
 "full" raises sizes to three states and four measurements and multiplies
 instance counts. The power-series check, whose oracle is not brute force,
-reaches seven measurements (fast) and ten (full).
+reaches seven measurements (fast) and ten (full). Every update check calls
+the one partition-sum engine, posterior_partition_clutter, passing
+clutter=None where its instance has no clutter process.
 
 Checks are independent, so they run on a thread pool sized to the CPUs
 this process may use, at most four. Seeds are fixed per check, results are
@@ -26,9 +28,7 @@ import numpy as np
 from . import instances as inst
 from .bayes import (
     ObservationKernel,
-    posterior_intensity,
     posterior_intensity_clutter,
-    posterior_partition,
     posterior_partition_clutter,
     poisson_posterior,
     poisson_posterior_intensity,
@@ -94,7 +94,7 @@ def check_update_against_direct(level: str) -> tuple[float, str]:
         kernel = inst.random_kernel(rng, X, Zs, m_max)
         m = int(rng.integers(0, min(m_cap, n_max * m_max) + 1))
         Z = inst.random_measurements(rng, Zs, m)
-        a = posterior_partition(prior, kernel, Z)
+        a = posterior_partition_clutter(prior, kernel, None, Z)
         b = posterior_direct(prior, kernel, Z)
         worst = max(worst, _tensor_gap(a.density, b.density))
         worst = max(worst, abs(math.exp(a.log_evidence) - math.exp(b.log_evidence)))
@@ -164,19 +164,13 @@ def check_intensity_three_ways(level: str) -> tuple[float, str]:
         m_max = int(rng.integers(1, 3))
         prior = inst.random_density(rng, X, n_max)
         kernel = inst.random_kernel(rng, X, Zs, m_max)
-        with_clutter = bool(i % 2)
-        clutter = inst.random_clutter(rng, Zs, 2) if with_clutter else None
-        cap = n_max * m_max + (clutter.n_max if with_clutter else 0)
+        clutter = inst.random_clutter(rng, Zs, 2) if i % 2 else None
+        cap = n_max * m_max + (0 if clutter is None else clutter.n_max)
         m = int(rng.integers(0, min(m_cap, cap) + 1))
         Z = inst.random_measurements(rng, Zs, m)
-        if with_clutter:
-            direct_sum = posterior_intensity_clutter(prior, kernel, clutter, Z)
-            post = posterior_partition_clutter(prior, kernel, clutter, Z)
-            brute = posterior_direct(prior, kernel, Z, clutter)
-        else:
-            direct_sum = posterior_intensity(prior, kernel, Z)
-            post = posterior_partition(prior, kernel, Z)
-            brute = posterior_direct(prior, kernel, Z)
+        direct_sum = posterior_intensity_clutter(prior, kernel, clutter, Z)
+        post = posterior_partition_clutter(prior, kernel, clutter, Z)
+        brute = posterior_direct(prior, kernel, Z, clutter)
         worst = max(worst, float(np.max(np.abs(direct_sum - post.intensity))))
         worst = max(worst, float(np.max(np.abs(direct_sum - brute.intensity))))
     return worst, f"{count} instances, moment vs partition vs enumeration"
@@ -200,7 +194,7 @@ def check_poisson_closed_forms(level: str) -> tuple[float, str]:
         # shifts the truncated prior's tail m levels closer to the surface
         prior = poisson(spec, X, n_max=poisson(spec, X).n_max + m)
         closed = poisson_posterior(spec, kernel, Z, n_max=prior.n_max)
-        generic = posterior_partition(prior, kernel, Z)
+        generic = posterior_partition_clutter(prior, kernel, None, Z)
         worst = max(worst, _tensor_gap(closed.density, generic.density))
         closed_int = poisson_posterior_intensity(spec, kernel, Z)
         worst = max(worst, float(np.max(np.abs(closed_int - generic.intensity))))

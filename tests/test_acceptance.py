@@ -36,9 +36,7 @@ from mobayes import (
     poisson_posterior,
     poisson_posterior_intensity,
     posterior_direct,
-    posterior_intensity,
     posterior_intensity_clutter,
-    posterior_partition,
     posterior_partition_clutter,
     predict,
 )
@@ -119,7 +117,7 @@ class TestAcceptance:
         start = time.perf_counter()
         for _ in range(count):
             prior, kernel, Z = _random_update(rng)
-            got = posterior_partition(prior, kernel, Z)
+            got = posterior_partition_clutter(prior, kernel, None, Z)
             want = posterior_direct(prior, kernel, Z)
             worst = max(worst, _tensor_gap(got.density, want.density))
         elapsed = time.perf_counter() - start
@@ -160,8 +158,8 @@ class TestAcceptance:
         count, worst = 200, 0.0
         for _ in range(count):
             prior, kernel, Z = _random_update(rng)
-            formula = posterior_intensity(prior, kernel, Z)
-            part = posterior_partition(prior, kernel, Z)
+            formula = posterior_intensity_clutter(prior, kernel, None, Z)
+            part = posterior_partition_clutter(prior, kernel, None, Z)
             direct = posterior_direct(prior, kernel, Z)
             d = prior.space.size
             from_part = np.array([moment(part.density, [x]) for x in range(d)])
@@ -194,7 +192,7 @@ class TestAcceptance:
             auto = poisson(spec, kernel.state_space).n_max
             prior = poisson(spec, kernel.state_space, n_max=auto + m)
             closed = poisson_posterior(spec, kernel, Z, n_max=prior.n_max)
-            generic = posterior_partition(prior, kernel, Z)
+            generic = posterior_partition_clutter(prior, kernel, None, Z)
             psi = rng.uniform(0.0, 1.0, d_x)
             worst = max(
                 worst,
@@ -319,15 +317,13 @@ class TestAcceptance:
         count, worst_norm = 60, 0.0
         for k in range(count):
             prior, kernel, Z = _random_update(rng)
-            if k % 2 == 0:
-                post = posterior_partition(prior, kernel, Z)
-                rerun = lambda Zp, **kw: posterior_partition(prior, kernel, Zp, **kw)
-            else:
+            clutter = None
+            if k % 2:
                 clutter = random_poisson_clutter(rng, kernel.obs_space, n_max=2)
-                post = posterior_partition_clutter(prior, kernel, clutter, Z)
-                rerun = lambda Zp, **kw: posterior_partition_clutter(
-                    prior, kernel, clutter, Zp, **kw
-                )
+            post = posterior_partition_clutter(prior, kernel, clutter, Z)
+            rerun = lambda Zp, **kw: posterior_partition_clutter(
+                prior, kernel, clutter, Zp, **kw
+            )
             worst_norm = max(worst_norm, abs(post.density.total_mass() - 1.0))
             perm = [Z[i] for i in rng.permutation(len(Z))]
             shuffled = rerun(perm)

@@ -9,11 +9,13 @@ because the full randomized load lives in test_acceptance and `verify`.
 
 import itertools
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
+import mobayes.bayes
 import mobayes.finite_pp
 from mobayes import (
     FiniteSpace,
@@ -28,9 +30,7 @@ from mobayes import (
     poisson_posterior_intensity,
     posterior_bivariate,
     posterior_direct,
-    posterior_intensity,
     posterior_intensity_clutter,
-    posterior_partition,
     posterior_partition_clutter,
     posterior_power_series,
 )
@@ -208,7 +208,7 @@ class TestPartitionUpdate:
             Z = feasible_measurements(
                 rng, Zs, int(rng.integers(0, 4)), n_max * m_max
             )
-            fast = posterior_partition(prior, kernel, Z)
+            fast = posterior_partition_clutter(prior, kernel, None, Z)
             slow = posterior_direct(prior, kernel, Z)
             assert tensor_gap(fast.density, slow.density) < 1e-10
             np.testing.assert_allclose(fast.log_evidence, slow.log_evidence, atol=1e-10)
@@ -220,7 +220,7 @@ class TestPartitionUpdate:
         X = space(2)
         prior = random_density(rng, X, 2)
         kernel = random_kernel(rng, X, space(2, "z"), 1)
-        post = posterior_partition(prior, kernel, [])
+        post = posterior_partition_clutter(prior, kernel, None, [])
         p0 = kernel.tables[0]
         unnorm = [
             prior.tensors[0] * 1.0,
@@ -236,9 +236,9 @@ class TestPartitionUpdate:
         prior = random_density(rng, space(2), 3)
         kernel = random_kernel(rng, space(2), space(3, "z"), 2)
         Z = ["zc", "za", "zb", "zc"]
-        base = posterior_partition(prior, kernel, Z)
+        base = posterior_partition_clutter(prior, kernel, None, Z)
         for perm in itertools.permutations(Z):
-            again = posterior_partition(prior, kernel, list(perm))
+            again = posterior_partition_clutter(prior, kernel, None, list(perm))
             for s, t in zip(base.density.tensors, again.density.tensors):
                 np.testing.assert_array_equal(s, t)
             assert again.log_evidence == base.log_evidence
@@ -248,8 +248,8 @@ class TestPartitionUpdate:
         prior = random_density(rng, space(2), 3)
         kernel = random_kernel(rng, space(2), space(2, "z"), 1)
         Z = ["za", "zb", "za"]
-        pruned = posterior_partition(prior, kernel, Z, prune=True)
-        full = posterior_partition(prior, kernel, Z, prune=False)
+        pruned = posterior_partition_clutter(prior, kernel, None, Z, prune=True)
+        full = posterior_partition_clutter(prior, kernel, None, Z, prune=False)
         for s, t in zip(pruned.density.tensors, full.density.tensors):
             np.testing.assert_array_equal(s, t)
 
@@ -278,8 +278,8 @@ class TestPartitionUpdate:
         scaled = prior.scaled(37.5)
         kernel = random_kernel(rng, space(2), space(2, "z"), 2)
         Z = ["zb", "zb"]
-        a = posterior_partition(prior, kernel, Z)
-        b = posterior_partition(scaled, kernel, Z)
+        a = posterior_partition_clutter(prior, kernel, None, Z)
+        b = posterior_partition_clutter(scaled, kernel, None, Z)
         assert tensor_gap(a.density, b.density) < 1e-12
 
     def test_zero_evidence_raised(self):
@@ -287,7 +287,7 @@ class TestPartitionUpdate:
         prior = random_density(rng, space(2), 1)
         kernel = random_kernel(rng, space(2), space(2, "z"), 1)
         with pytest.raises(ZeroEvidence):
-            posterior_partition(prior, kernel, ["za"] * 3)
+            posterior_partition_clutter(prior, kernel, None, ["za"] * 3)
 
     def test_carries_the_prior_truncation_mass(self):
         """Mass dropped at earlier caps stays on the books through an update."""
@@ -298,7 +298,8 @@ class TestPartitionUpdate:
         clutter = random_poisson_clutter(rng, space(2, "z"))
         post = posterior_partition_clutter(prior, kernel, clutter, ["za", "zb"])
         assert post.density.truncation_mass == prior.truncation_mass
-        assert posterior_partition(prior, kernel, ["zb"]).density.truncation_mass == 0.0125
+        bare = posterior_partition_clutter(prior, kernel, None, ["zb"])
+        assert bare.density.truncation_mass == 0.0125
 
     def test_fourteen_measurements_within_a_second(self):
         """Past brute force and past any set-partition walk: 14 measurements
@@ -369,8 +370,8 @@ class TestIntensity:
             kernel = random_kernel(rng, X, Zs, 2)
             Z = random_measurements(rng, Zs, int(rng.integers(0, 4)))
             direct = posterior_direct(prior, kernel, Z)
-            part = posterior_partition(prior, kernel, Z)
-            formula = posterior_intensity(prior, kernel, Z)
+            part = posterior_partition_clutter(prior, kernel, None, Z)
+            formula = posterior_intensity_clutter(prior, kernel, None, Z)
             by_moment = np.array(
                 [moment(part.density, [x]) for x in X.labels]
             )
@@ -381,9 +382,9 @@ class TestIntensity:
         rng = np.random.default_rng(81)
         prior = random_density(rng, space(2), 3)
         kernel = random_kernel(rng, space(2), space(2, "z"), 2)
-        M = posterior_intensity(prior, kernel, ["za", "zb"])
+        M = posterior_intensity_clutter(prior, kernel, None, ["za", "zb"])
         assert np.all(M >= 0)
-        post = posterior_partition(prior, kernel, ["za", "zb"])
+        post = posterior_partition_clutter(prior, kernel, None, ["za", "zb"])
         card = post.density.cardinality_distribution()
         np.testing.assert_allclose(M.sum(), float(np.arange(card.size) @ card), atol=1e-9)
 
@@ -395,7 +396,7 @@ class TestClutterUpdate:
         prior = random_density(rng, X, 2)
         kernel = random_kernel(rng, X, Zs, 2)
         Z = ["za", "zc", "zc"]
-        bare = posterior_partition(prior, kernel, Z)
+        bare = posterior_partition_clutter(prior, kernel, None, Z)
         with_empty = posterior_partition_clutter(
             prior, kernel, empty_process(Zs), Z
         )
@@ -403,7 +404,7 @@ class TestClutterUpdate:
             np.testing.assert_array_equal(s, t)
         assert with_empty.log_evidence == bare.log_evidence
         np.testing.assert_array_equal(
-            posterior_intensity(prior, kernel, Z),
+            posterior_intensity_clutter(prior, kernel, None, Z),
             posterior_intensity_clutter(prior, kernel, empty_process(Zs), Z),
         )
 
@@ -480,6 +481,36 @@ class TestPoissonClosedForms:
             poisson_posterior_intensity(spec, kernel, []), nu, atol=1e-12
         )
 
+    def test_one_signature_pass_per_update(self, monkeypatch):
+        rng = np.random.default_rng(92)
+        lam, spec, kernel = self._instance(rng)
+        calls = []
+        original = mobayes.bayes._signature_counts
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mobayes.bayes, "_signature_counts", counted)
+        poisson_posterior(spec, kernel, ["za", "zb", "za"])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_max", [-1, mobayes.finite_pp.MAX_TENSOR_AXES + 1])
+    def test_refuses_the_caps_poisson_refuses(self, n_max):
+        rng = np.random.default_rng(93)
+        lam, spec, kernel = self._instance(rng)
+        with pytest.raises(ValueError) as refused:
+            poisson(spec, kernel.state_space, n_max=n_max)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            poisson_posterior(spec, kernel, ["za"], n_max=n_max)
+
+    def test_default_cap_is_the_poisson_choice(self):
+        rng = np.random.default_rng(94)
+        for _ in range(5):
+            lam, spec, kernel = self._instance(rng)
+            post = poisson_posterior(spec, kernel, ["zb"])
+            assert post.density.n_max == poisson(spec, kernel.state_space).n_max
+
     def test_single_measurement_formula(self):
         rng = np.random.default_rng(87)
         lam, spec, kernel = self._instance(rng)
@@ -501,7 +532,7 @@ class TestPoissonClosedForms:
             auto = poisson(spec, kernel.state_space).n_max
             prior = poisson(spec, kernel.state_space, n_max=auto + m)
             closed = poisson_posterior(spec, kernel, Z, n_max=prior.n_max)
-            generic = posterior_partition(prior, kernel, Z)
+            generic = posterior_partition_clutter(prior, kernel, None, Z)
             assert tensor_gap(closed.density, generic.density) < 1e-10
             np.testing.assert_allclose(
                 poisson_posterior_intensity(spec, kernel, Z),
@@ -559,7 +590,7 @@ class TestBivariateOracle:
         kernel = random_kernel(rng, X, Zs, 2)
         Z = ["za", "zb"]
         numeric = posterior_bivariate(prior, kernel, Z)
-        exact = posterior_partition(prior, kernel, Z)
+        exact = posterior_partition_clutter(prior, kernel, None, Z)
         assert tensor_gap(numeric.density, exact.density) < 1e-8
         np.testing.assert_allclose(numeric.log_evidence, exact.log_evidence, atol=1e-8)
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from mobayes import ConfigError, TruncationOverflow, bell, load_config, run, simulate, verify
-from mobayes.cli import main
+from mobayes.cli import PARTITIONS_PRINT_MAX, main
 from mobayes.combinatorics import BELL_MAX
 from mobayes.scenario import write_outputs
 
@@ -587,6 +587,18 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"--m must be at most {BELL_MAX}" in captured.err
+
+    def test_partitions_past_the_print_limit_are_refused_unprinted(self, capsys):
+        assert main(["partitions", "--m", "12"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--m 12 has {bell(12)} partitions" in captured.err
+        assert str(PARTITIONS_PRINT_MAX) in captured.err
+
+    def test_partitions_at_the_bell_limit_with_singleton_blocks(self, capsys):
+        assert main(["partitions", "--m", str(BELL_MAX), "--max-block", "1"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines == [" ".join(f"{{{i}}}" for i in range(BELL_MAX)), "total 1"]
 
     def test_console_script_entry_point(self):
         proc = subprocess.run(

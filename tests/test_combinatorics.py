@@ -13,7 +13,13 @@ import math
 import pytest
 
 from mobayes import bell, partitions
-from mobayes.combinatorics import BELL_MAX, Partition, SubsetSplit, subsets
+from mobayes.combinatorics import (
+    BELL_MAX,
+    Partition,
+    SubsetSplit,
+    partition_count,
+    subsets,
+)
 
 
 def bell_by_binomial_recurrence(m: int) -> int:
@@ -69,6 +75,16 @@ class TestPartitions:
     def test_max_block_m_equals_unpruned(self):
         for m in range(8):
             assert sum(1 for _ in partitions(m, max_block=max(m, 1))) == bell(m)
+
+    def test_partition_count_matches_the_walk(self):
+        for m in range(9):
+            for cap in [None, *range(1, m + 1)]:
+                walked = sum(1 for _ in partitions(m, max_block=cap))
+                assert partition_count(m, cap) == walked
+
+    def test_partition_count_past_the_walk(self):
+        assert partition_count(BELL_MAX) == bell(BELL_MAX)
+        assert partition_count(BELL_MAX, 1) == 1
 
     @pytest.mark.parametrize("m,cap", [(4, 2), (5, 2), (5, 3), (6, 3)])
     def test_pruned_counts_match_brute_filter(self, m, cap):
