@@ -7,7 +7,8 @@ Subcommands:
              on the command line; prints the posterior as JSON
   verify     property sweeps with pass/fail lines; exit 0 iff all pass
   partitions debug enumeration of set partitions; refused, before any
-             line is printed, when more than PARTITIONS_PRINT_MAX would be
+             line is printed, when more than PARTITIONS_PRINT_MAX partitions
+             would be printed
 
 Exit codes: 0 success, 1 usage or validation trouble (including a
 partitions listing over PARTITIONS_PRINT_MAX), 2 a run hit a

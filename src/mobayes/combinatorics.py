@@ -124,7 +124,7 @@ def partition_count(m: int, max_block: int | None = None) -> int:
 
 
 def bell(m: int) -> int:
-    """Bell number B(m) via the Bell triangle; refuses m > BELL_MAX."""
+    """Bell number B(m), the uncapped partition_count; refuses m > BELL_MAX."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > BELL_MAX:
@@ -132,10 +132,4 @@ def bell(m: int) -> int:
             f"bell({m}) exceeds the supported range (m <= {BELL_MAX}); "
             "partition counts this large are outside desk scale"
         )
-    row = [1]
-    for _ in range(m):
-        nxt_row = [row[-1]]
-        for value in row:
-            nxt_row.append(nxt_row[-1] + value)
-        row = nxt_row
-    return row[0]
+    return partition_count(m)

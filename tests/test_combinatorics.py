@@ -25,7 +25,7 @@ from mobayes.combinatorics import (
 def bell_by_binomial_recurrence(m: int) -> int:
     """B(n+1) = sum_k C(n,k) B(k), seeded with B(0)=1.
 
-    Independent of the Bell-triangle path used by bell().
+    Independent of the partition_count recurrence used by bell().
     """
     b = [1]
     for n in range(m):
@@ -83,7 +83,7 @@ class TestPartitions:
                 assert partition_count(m, cap) == walked
 
     def test_partition_count_past_the_walk(self):
-        assert partition_count(BELL_MAX) == bell(BELL_MAX)
+        assert partition_count(BELL_MAX) == bell_by_binomial_recurrence(BELL_MAX)
         assert partition_count(BELL_MAX, 1) == 1
 
     @pytest.mark.parametrize("m,cap", [(4, 2), (5, 2), (5, 3), (6, 3)])
