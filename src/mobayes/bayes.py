@@ -11,11 +11,15 @@ Z explained by the clutter process. Evidence is the same sum with no free
 measurement points.
 There is one numeric path: the evidence is a signed log-sum-exp over the
 terms, and each term's numerator is scaled by its weight over the evidence,
-so evidences far below the smallest double never underflow. Every variation
-is one call of finite_pp.contract; the numerator tensors are the prior's
-times one finite_pp.product, of the block functional
-sum_terms scale * prod_i v_i[h] and exp(p0[h]). The posterior carries the
-prior's truncation_mass, so mass dropped at earlier caps is not forgotten.
+so evidences far below the smallest double never underflow. The engine
+works on packed coefficients through the kernels of finite_pp and never
+indexes their layout: finite_pp.derivatives gives the prior's variations
+D_k at the missed-detection profile once per update, and a term's
+denominator is finite_pp.pairings of D_k with the linear_products of its
+block vectors. The posterior entries are the prior's times one
+finite_pp.multiply of the block functional sum_terms scale * prod_i v_i[h]
+and exp(p0[h]). The posterior carries the prior's truncation_mass, so mass
+dropped at earlier caps is not forgotten.
 
 The brute-force and numeric oracles this engine is checked against live in
 mobayes.oracles.
@@ -36,13 +40,12 @@ term (one extra Dirac increment weighted by the missed-detection profile)
 plus one replaced-increment term per block (that block's increment
 localized at the query point). Poisson priors additionally get closed
 forms in which every variation collapses to a product of scalars
-mu[P_block]; they share the signature enumeration, _block_functional,
-product and powers with the engine, so they are not independent oracles.
+mu[P_block]; they share the signature enumeration, _block_functional and
+finite_pp.multiply with the engine, so they are not independent oracles.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -62,9 +65,11 @@ from .finite_pp import (
     PoissonSpec,
     _as_test_function,
     _poisson_cap,
-    contract,
-    powers,
-    product,
+    derivatives,
+    exp_coefficients,
+    linear_products,
+    multiply,
+    pairings,
     symmetrize,  # unused here; bench/spans.py wraps mobayes.bayes.symmetrize
     symmetrize_axes,
 )
@@ -197,7 +202,7 @@ def _check_update_spaces(prior, kernel, clutter) -> None:
 def _clutter_value(clutter: MultiObjectDensity | None, group: tuple[int, ...]) -> float:
     if clutter is None:
         return 1.0 if not group else 0.0
-    return float(clutter.tensors[len(group)][tuple(group)])
+    return clutter.entry(group)
 
 
 def _sub_multisets(labels, counts, room: int):
@@ -307,32 +312,49 @@ def _signature_terms(counts: Counter, kernel: ObservationKernel):
         yield cnt, dropped, [vectors[content] for content in blocks]
 
 
-def _block_functional(terms, d: int) -> list[np.ndarray]:
-    """Coefficients B_p of sum over terms of scale * prod_i v_i[h].
+def _group_products(blocks, d: int) -> dict:
+    """Terms grouped by block count, for every count up to the largest.
 
-    B_p = sum over the terms with p blocks of scale * p! * v_1 (x) ... (x)
-    v_p, unsymmetrized, accumulated in the given (sorted signature) order.
+    groups[k] = (positions of the terms with k blocks, their (terms, k, d)
+    block vectors, the packed level k of each term's prod_i v_i[h]).
     """
-    top = max((len(vecs) for _, vecs in terms), default=0)
-    coeffs = [np.zeros((d,) * p) for p in range(top + 1)]
-    for scale, vecs in terms:
-        first = np.asarray(scale * math.factorial(len(vecs)))
-        coeffs[len(vecs)] += functools.reduce(np.multiply.outer, vecs, first)
-    return coeffs
+    where: dict[int, list[int]] = {k: [] for k in range(max(map(len, blocks), default=0) + 1)}
+    for i, vecs in enumerate(blocks):
+        where[len(vecs)].append(i)
+    groups = {}
+    for k, idx in where.items():
+        vectors = np.array([blocks[i] for i in idx]).reshape(len(idx), k, d)
+        groups[k] = (np.array(idx, dtype=np.intp), vectors, linear_products(vectors))
+    return groups
 
 
-def _intensity_term(prior, p0, block_vecs) -> np.ndarray:
-    """One partition's contribution to the unnormalized intensity.
+def _block_functional(scales: np.ndarray, groups: dict) -> list[np.ndarray]:
+    """Packed levels of sum over terms of scale * prod_i v_i[h].
 
-    Appended term: the (p+1)-th variation with one extra Dirac increment,
+    Each level adds its terms one at a time in signature order (add.accumulate
+    never reassociates), so terms that are exactly zero, such as the blocks
+    pruning skips, leave it bitwise unchanged.
+    """
+    out = []
+    for idx, _, products in groups.values():
+        rows = scales[idx, None] * products
+        out.append(np.add.accumulate(rows, axis=0)[-1] if len(rows) else rows.sum(axis=0))
+    return out
+
+
+def _intensity_terms(D, p0, vectors, products) -> np.ndarray:
+    """Each term's contribution to the unnormalized intensity, one row per term.
+
+    Appended term: the (k+1)-th variation with one extra Dirac increment,
     weighted pointwise by the missed-detection profile. Replaced terms: the
-    p-th variation with block i's increment localized at the query point and
+    k-th variation with block i's increment localized at the query point and
     weighted by that block's density there.
     """
-    total = p0 * contract(prior.tensors, block_vecs, p0, free=1)
-    for i, v in enumerate(block_vecs):
-        others = block_vecs[:i] + block_vecs[i + 1 :]
-        total += v * contract(prior.tensors, others, p0, free=1)
+    d, k = p0.size, vectors.shape[1]
+    total = p0 * pairings(D[k + 1], products, d, k, free=True)
+    for i in range(k):
+        others = linear_products(np.delete(vectors, i, axis=1))
+        total += vectors[:, i] * pairings(D[k], others, d, k - 1, free=True)
     return total
 
 
@@ -342,7 +364,7 @@ def _partition_engine(
     Z: MeasurementSet,
     clutter: MultiObjectDensity | None,
     prune: bool,
-) -> tuple[float, list[tuple[float, list[np.ndarray]]]]:
+) -> tuple[float, np.ndarray, dict]:
     """Log evidence and the normalized terms of the partition-sum update.
 
     Each distinct signature within the caps (kernel.m_max when pruning,
@@ -352,9 +374,10 @@ def _partition_engine(
     functional at the missed-detection profile with one increment per
     block. The evidence sum w * den is a log-sum-exp over log|w| + log|den|
     that carries each term's sign, so evidences far below the smallest
-    double do not underflow. Returns the log evidence and, in sorted
-    signature order, (w / evidence, block vectors) for every term; a term
-    whose denominator is 0 is kept, since its numerator need not vanish.
+    double do not underflow. Returns the log evidence, w / evidence per
+    term in sorted signature order, and the terms grouped by block count
+    (_group_products); a term whose denominator is 0 is kept, since its
+    numerator need not vanish.
     """
     _check_update_spaces(prior, kernel, clutter)
     z_idx = tuple(kernel.obs_space.indices(Z))
@@ -365,15 +388,23 @@ def _partition_engine(
         max_blocks=prior.n_max,
         max_clutter=None if clutter is None else clutter.n_max,
     )
-    p0 = kernel.tables[0]
-    terms = []  # (weight, block vectors)
-    logs, signs = [], []  # log|weight * den| and its sign, for den != 0
+    clutter_values: dict[tuple[int, ...], float] = {}
+    weights, blocks = [], []
     for cnt, dropped, vecs in _signature_terms(counts, kernel):
-        weight = cnt * _clutter_value(clutter, dropped)
-        if weight == 0.0:
-            continue
-        terms.append((weight, vecs))
-        den = float(contract(prior.tensors, vecs, p0))
+        if dropped not in clutter_values:
+            clutter_values[dropped] = _clutter_value(clutter, dropped)
+        weight = cnt * clutter_values[dropped]
+        if weight != 0.0:
+            weights.append(weight)
+            blocks.append(vecs)
+    d = prior.space.size
+    groups = _group_products(blocks, d)
+    D = derivatives(prior.packed, kernel.tables[0], len(groups) - 1)
+    dens = np.zeros(len(blocks))
+    for k, (idx, _, products) in groups.items():
+        dens[idx] = pairings(D[k], products, d, k)
+    logs, signs = [], []  # log|weight * den| and its sign, for den != 0
+    for weight, den in zip(weights, dens.tolist()):
         if den != 0.0:
             logs.append(math.log(abs(weight)) + math.log(abs(den)))
             signs.append(-1.0 if (weight < 0.0) != (den < 0.0) else 1.0)
@@ -382,10 +413,10 @@ def _partition_engine(
     if not total > 0.0:
         raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
     log_evidence = peak + math.log(total)
-    return log_evidence, [
-        (math.copysign(math.exp(math.log(abs(w)) - log_evidence), w), vecs)
-        for w, vecs in terms
-    ]
+    scales = np.array(
+        [math.copysign(math.exp(math.log(abs(w)) - log_evidence), w) for w in weights]
+    )
+    return log_evidence, scales, groups
 
 
 def posterior_partition_clutter(
@@ -405,13 +436,12 @@ def posterior_partition_clutter(
     density; posterior_intensity_clutter evaluates the same quantity from
     the partition sum directly.
     """
-    log_evidence, terms = _partition_engine(prior, kernel, Z, clutter, prune)
+    log_evidence, scales, groups = _partition_engine(prior, kernel, Z, clutter, prune)
     n, d = prior.n_max, prior.space.size
-    likelihood = product(_block_functional(terms, d), powers(kernel.tables[0], n), n, d)
-    tensors = [t * f for t, f in zip(prior.tensors, likelihood)]
-    density = MultiObjectDensity(
-        prior.space, tensors, symmetrize_input=True, truncation_mass=prior.truncation_mass
-    )
+    block = _block_functional(scales, groups)
+    likelihood = multiply(block, exp_coefficients(kernel.tables[0], n), n, d)
+    packed = [c * f for c, f in zip(prior.packed, likelihood)]
+    density = MultiObjectDensity._from_packed(prior.space, packed, prior.truncation_mass)
     return Posterior(density, density.intensity_vector(), log_evidence)
 
 
@@ -424,11 +454,12 @@ def posterior_intensity_clutter(
     prune: bool = True,
 ) -> np.ndarray:
     """Posterior intensity under clutter, from the partition sum directly."""
-    _, terms = _partition_engine(prior, kernel, Z, clutter, prune)
+    _, scales, groups = _partition_engine(prior, kernel, Z, clutter, prune)
     p0 = kernel.tables[0]
+    D = derivatives(prior.packed, p0, len(groups))
     intensity = np.zeros(prior.space.size)
-    for scale, vecs in terms:
-        intensity += scale * _intensity_term(prior, p0, vecs)
+    for idx, vectors, products in groups.values():
+        intensity += scales[idx] @ _intensity_terms(D, p0, vectors, products)
     return intensity
 
 
@@ -483,7 +514,7 @@ def poisson_posterior(
     partition contributes just the product of scalars mu[P_block]; the
     posterior is the superposition of a Poisson with intensity mu * p0 and a
     partition mixture of per-block point densities mu * P_block, one
-    finite_pp.product of the block functional and exp(nu[h]). n_max follows
+    finite_pp.multiply of the block functional and exp(nu[h]). n_max follows
     finite_pp.poisson's rule.
     """
     if not isinstance(spec, PoissonSpec):
@@ -497,8 +528,10 @@ def poisson_posterior(
     nu = mu * p0
     scale = math.exp(-float(nu.sum())) / partition_total
     kept = [(cnt * scale, [mu * v for v in vs]) for cnt, vs, _ in terms if len(vs) <= n_max]
-    tensors = product(_block_functional(kept, d), powers(nu, n_max), n_max, d)
-    density = MultiObjectDensity(kernel.state_space, tensors, symmetrize_input=True)
+    groups = _group_products([vs for _, vs in kept], d)
+    block = _block_functional(np.array([s for s, _ in kept]), groups)
+    packed = multiply(block, exp_coefficients(nu, n_max), n_max, d)
+    density = MultiObjectDensity._from_packed(kernel.state_space, packed)
     density.truncation_mass = max(0.0, 1.0 - density.total_mass())
     log_evidence = float(mu @ (p0 - 1.0)) + math.log(partition_total)
     return Posterior(density, intensity, log_evidence)

@@ -1,23 +1,32 @@
 """Finite-space point processes as truncated generating functionals.
 
-A multi-object state on a finite space of d points is stored through its
-coefficient tensors p_0, p_1, ..., p_{n_max}: p_n is a symmetric array of
-shape (d,)*n and the functional value at a test function psi is
+A multi-object state on a finite space of d points is a truncated
+generating functional
 
-    G(psi) = sum_n (1/n!) sum_{x_1..x_n} p_n(x_1..x_n) psi(x_1)...psi(x_n).
+    G(psi) = sum_n (1/n!) sum_{x_1..x_n} p_n(x_1..x_n) psi(x_1)...psi(x_n),
 
-All integrals are sums under the counting measure, so a Dirac increment is
-just a one-hot vector. Tensors are kept exactly symmetric, and the
-constructor is the one place that enforces it: symmetrize_input=True routes
-every array through an orbit canonicalizer that assigns one value per index
-multiset, so permutation identities hold bitwise, not merely to round-off.
-Code that assembles tensors hands the constructor plain sums. contract() is
-the one coefficient contraction the engines share, and product() the one
-coefficient product of two functionals (superposition, prediction and the
-update numerators); evaluate() stays separate for the oracles, which read a
-density only through tensor(n), n_max, space and truncation_mass. poisson()
-and the symmetrizing constructor refuse a cap past MAX_TENSOR_AXES, the
-most axes an array can have while symmetrize indexes it.
+whose coefficient tensors p_n are symmetric, so G is a polynomial in d
+variables. A density stores each p_n packed: one coefficient c(alpha) per
+index multiset, keyed by its count vector alpha (|alpha| = n), and
+c(alpha) stands for the n!/alpha! dense entries of its orbit. All integrals
+are sums under the counting measure, so a Dirac increment is a one-hot
+vector and a differential is a shift of the coefficients.
+
+The layout is known to this module alone: the index tables, pack/unpack
+and the kernels the engines call. multiply() is the one product of two
+functionals (superposition, prediction and the update numerators),
+linear_products() the coefficients of products of linear functionals,
+exp_coefficients() those of exp(v[h]), derivatives() the variations of a
+functional at a base test function, pairings() their values at given
+increments, and symmetric_power() a matrix acting on every axis of a
+symmetric tensor. tensors/tensor(n) is a dense (d,)*n view, unpacked on
+first access and cached, for JSON I/O, sampling and the oracles; evaluate()
+and contract() work on it and stay separate from the engines. The
+constructor is the one place symmetry is enforced: symmetrize_input=True
+packs every array by orbit mean (the values symmetrize writes), and
+without it the arrays must be exactly symmetric. poisson() and the
+symmetrizing constructor refuse a cap past MAX_TENSOR_AXES, the most axes
+an array can have while symmetrize indexes it.
 """
 
 from __future__ import annotations
@@ -26,8 +35,9 @@ import functools
 import itertools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,14 +166,165 @@ class PoissonSpec:
             raise ValueError("tail_tol must lie in (0, 1)")
 
 
-class MultiObjectDensity:
-    """Truncated coefficient tensors of a multi-object generating functional.
+# ---------------------------------------------------------------------------
+# packed layout
+# ---------------------------------------------------------------------------
+#
+# Level n holds one entry per index multiset of size n, in lexicographic
+# order of the sorted index tuples (the order of
+# itertools.combinations_with_replacement(range(d), n)). Every table below
+# is built with numpy, without a loop per entry, and cached per layout.
 
-    tensors[n] has shape (d,)*n; tensors[0] is a scalar array. Entries are
-    ordinarily nonnegative (probability densities) but may be any finite
-    real when the instance carries an unnormalized numerator.
-    truncation_mass records probability dropped past n_max by whatever
-    operation built the instance.
+
+# The highest level a table serves: a dense view has at most
+# MAX_TENSOR_AXES + 1 axes, and the intensity reads one level past n_max.
+_TOP_LEVEL = MAX_TENSOR_AXES + 2
+_FACTORIALS = np.array([math.factorial(k) for k in range(_TOP_LEVEL + 1)], dtype=float)
+
+
+class _Level(NamedTuple):
+    counts: np.ndarray  # (m, d) count vectors alpha, in layout order
+    last: np.ndarray  # the largest index of each multiset (0 at level 0)
+    inv_fact: np.ndarray  # 1 / alpha!
+
+
+@functools.lru_cache(maxsize=None)
+def _level(d: int, n: int) -> _Level:
+    if n == 0:
+        counts = np.zeros((1, d), dtype=np.intp)
+        last = np.zeros(1, dtype=np.intp)
+    else:
+        # extend every multiset of size n - 1 by each index from its largest on
+        prev = _level(d, n - 1)
+        parent, last = np.nonzero(np.arange(d) >= prev.last[:, None])
+        counts = prev.counts[parent] + np.eye(d, dtype=np.intp)[last]
+    return _Level(counts, last, 1.0 / _FACTORIALS[counts].prod(axis=1))
+
+
+def _tuples(d: int, n: int) -> np.ndarray:
+    """(m, n) sorted index tuples of level n, in layout order."""
+    counts = _level(d, n).counts
+    return np.repeat(np.tile(np.arange(d), len(counts)), counts.reshape(-1)).reshape(len(counts), n)
+
+
+@functools.lru_cache(maxsize=None)
+def _multiset_counts(d: int) -> np.ndarray:
+    """table[b + 1, w] = C(b + w, b), the multisets of size b over w + 1
+    indices, for b below _TOP_LEVEL; row 0 (b = -1) is zero."""
+    table = np.zeros((_TOP_LEVEL + 1, d), dtype=np.intp)
+    table[1:, 0] = 1
+    for w in range(1, d):
+        # C(b + w, b) sums C(b' + w - 1, b') over b' <= b; entries too large
+        # for intp wrap, but no level that fits in memory reads them
+        table[1:, w] = np.cumsum(table[1:, w - 1])
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _offsets(d: int, n: int) -> np.ndarray:
+    """Start of each level 0..n, and the end, in the levels concatenated."""
+    return np.concatenate([[0], np.cumsum(_multiset_counts(d)[1 : n + 2, d - 1])])
+
+
+def _rank(counts: np.ndarray, level, d: int) -> np.ndarray:
+    """Layout position within its level of each count vector (last axis).
+
+    With S_v the count of indices up to v, the multisets of size k that
+    share alpha's indices up to v and hold one more v come before alpha:
+    C(d - v + k - S_v - 2, k - S_v - 1) of them when S_v < k. Counts add,
+    so the rank of beta + gamma needs no sort. level is an int or an
+    array that broadcasts against counts.
+    """
+    below = level - np.cumsum(counts, axis=-1)
+    return _multiset_counts(d)[below, np.arange(d - 1, -1, -1)].sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def _stacked(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Count vectors of levels 0..n concatenated, the level of each, and
+    1 / alpha!."""
+    levels = [_level(d, k) for k in range(n + 1)]
+    return (
+        np.concatenate([lv.counts for lv in levels]),
+        np.repeat(np.arange(n + 1), np.diff(_offsets(d, n))),
+        np.concatenate([lv.inv_fact for lv in levels]),
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _pairs(d: int, n: int, top: int) -> tuple[np.ndarray, ...]:
+    """Every pair (beta, gamma) with |beta| <= top and |beta| + |gamma| <= n,
+    ordered by beta and then gamma in layout order: the positions of beta,
+    gamma and alpha = beta + gamma in levels 0..n concatenated, and the
+    weight alpha!/(beta! gamma!). Pairs with a larger top extend this
+    list, so sums over it do not depend on top."""
+    counts, level, _ = _stacked(d, n)
+    # each beta meets every gamma up to n - |beta|
+    width = _offsets(d, n)[n + 1 - level[: _offsets(d, top)[-1]]]
+    bi = np.repeat(np.arange(len(width)), width)
+    gi = np.arange(len(bi)) - np.repeat(np.cumsum(width) - width, width)
+    alpha = counts[bi] + counts[gi]
+    at = level[bi] + level[gi]
+    ti = _offsets(d, n)[at] + _rank(alpha, at[:, None], d)
+    binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], dtype=float)
+    weight = binom[alpha, counts[bi]].prod(axis=1)
+    return bi, gi, ti, weight
+
+
+@functools.lru_cache(maxsize=64)
+def _shift(d: int, n: int) -> np.ndarray:
+    """(m_n, d) positions at level n + 1 of alpha + e_x."""
+    alpha = _level(d, n).counts[:, None, :] + np.eye(d, dtype=np.intp)
+    return _rank(alpha, n + 1, d)
+
+
+@functools.lru_cache(maxsize=64)
+def _down(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m_n, d) positions at level n - 1 of alpha - e_x (0 where alpha_x = 0),
+    and the counts alpha_x as floats, which vanish exactly there."""
+    shift = _shift(d, n - 1)
+    down = np.zeros((len(_level(d, n).inv_fact), d), dtype=np.intp)
+    down[shift, np.arange(d)] = np.arange(shift.shape[0])[:, None]
+    return down, _level(d, n).counts.astype(float)
+
+
+@functools.lru_cache(maxsize=64)
+def _dense_index(d: int, n: int) -> np.ndarray:
+    """Packed position of every dense entry of shape (d,)*n, flattened."""
+    if n == 0:
+        return np.zeros(1, dtype=np.intp)
+    return _shift(d, n - 1)[_dense_index(d, n - 1)].reshape(-1)
+
+
+def _pack(arr: np.ndarray, n: int, mean: bool) -> np.ndarray:
+    """One packed level from a dense (d,)*n array: the orbit mean, or the
+    entry at each sorted index tuple."""
+    flat = arr.reshape(-1)
+    if n < 2:
+        return flat.copy()
+    d = arr.shape[0]
+    if mean:
+        # the sums accumulate in dense order and are divided by the exact
+        # orbit sizes n!/alpha!, as symmetrize's are
+        orbit = np.rint(math.factorial(n) * _level(d, n).inv_fact)
+        return np.bincount(_dense_index(d, n), weights=flat) / orbit
+    return flat[_tuples(d, n) @ d ** np.arange(n - 1, -1, -1)]
+
+
+def _unpack(entries: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The dense (d,)*n tensor of one packed level."""
+    return entries[_dense_index(d, n)].reshape((d,) * n)
+
+
+class MultiObjectDensity:
+    """Truncated coefficients of a multi-object generating functional.
+
+    packed[n] holds level n, one entry per index multiset of size n (see
+    the module docstring); tensors[n] is its dense (d,)*n view, and
+    tensors[0] a scalar array. Entries are ordinarily nonnegative
+    (probability densities) but may be any finite real when the instance
+    carries an unnormalized numerator. truncation_mass records probability
+    dropped past n_max by whatever operation built the instance.
     """
 
     def __init__(
@@ -176,9 +337,8 @@ class MultiObjectDensity:
     ):
         if symmetrize_input:
             _check_axes(len(tensors) - 1)
-        self.space = space
         d = space.size
-        fixed: list[np.ndarray] = []
+        packed: list[np.ndarray] = []
         for n, raw in enumerate(tensors):
             arr = np.asarray(raw, dtype=float)
             if arr.shape != (d,) * n:
@@ -189,46 +349,77 @@ class MultiObjectDensity:
                 raise ValueError(f"tensor {n} contains non-finite entries")
             if n >= 2 and not symmetrize_input and not is_symmetric(arr):
                 raise ValueError(f"tensor {n} is not symmetric")
-            # symmetrize returns a fresh array, so only the other branch copies
-            fixed.append(symmetrize(arr) if n >= 2 and symmetrize_input else arr.copy())
-        if not fixed:
+            packed.append(_pack(arr, n, symmetrize_input))
+        if not packed:
             raise ValueError("at least the cardinality-0 tensor is required")
-        self.tensors = fixed
+        self._assign(space, packed, truncation_mass)
+
+    @classmethod
+    def _from_packed(
+        cls, space: FiniteSpace, packed: list[np.ndarray], truncation_mass: float = 0.0
+    ) -> "MultiObjectDensity":
+        """A density on packed levels the caller built; nothing is checked."""
+        self = cls.__new__(cls)
+        self._assign(space, packed, truncation_mass)
+        return self
+
+    def _assign(self, space, packed, truncation_mass) -> None:
+        self.space = space
+        self.packed = packed
         self.truncation_mass = float(truncation_mass)
+        self._dense: list[np.ndarray] | None = None
 
     @property
     def n_max(self) -> int:
-        return len(self.tensors) - 1
+        return len(self.packed) - 1
+
+    @property
+    def tensors(self) -> list[np.ndarray]:
+        """Dense (d,)*n view of every level, read-only, built on first use."""
+        if self._dense is None:
+            d = self.space.size
+            views = [_unpack(c, d, n) for n, c in enumerate(self.packed)]
+            for v in views:
+                v.flags.writeable = False
+            self._dense = views
+        return self._dense
 
     def tensor(self, n: int) -> np.ndarray:
         return self.tensors[n]
+
+    def entry(self, points: Sequence[str | int]) -> float:
+        """p_n(x_1..x_n) at one tuple of points, read from its packed level."""
+        idx = sorted(self.space.indices(points))
+        d, n = self.space.size, len(idx)
+        table = _multiset_counts(d)
+        # _rank's sum term by term; the terms from the largest index on vanish
+        below = [n - bisect_right(idx, v) for v in range(max(idx, default=0))]
+        return float(self.packed[n][sum(table.item(b, d - 1 - v) for v, b in enumerate(below))])
 
     def total_mass(self) -> float:
         """G(1), read off the cardinality distribution; evaluate() is the oracle."""
         return float(self.cardinality_distribution().sum())
 
     def cardinality_distribution(self) -> np.ndarray:
-        return np.array(
-            [self.tensors[n].sum() / math.factorial(n) for n in range(self.n_max + 1)]
-        )
+        """sum over alpha of c(alpha)/alpha! per level."""
+        d = self.space.size
+        return np.array([c @ _level(d, n).inv_fact for n, c in enumerate(self.packed)])
 
     def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
         return abs(self.total_mass() - 1.0) <= tol
 
     def scaled(self, c: float) -> "MultiObjectDensity":
-        return MultiObjectDensity(
-            self.space,
-            [t * float(c) for t in self.tensors],
-            truncation_mass=self.truncation_mass,
+        return MultiObjectDensity._from_packed(
+            self.space, [t * float(c) for t in self.packed], self.truncation_mass
         )
 
     def intensity_vector(self) -> np.ndarray:
-        """First factorial moment at every point, M_1(x) = moment(P, (x,))."""
-        out = np.zeros(self.space.size)
+        """First factorial moment, M_1 = sum over alpha of c(alpha) alpha/alpha!."""
+        d = self.space.size
+        out = np.zeros(d)
         for n in range(1, self.n_max + 1):
-            t = self.tensors[n]
-            collapsed = t.reshape(self.space.size, -1).sum(axis=1)
-            out += collapsed / math.factorial(n - 1)
+            lv = _level(d, n)
+            out += (self.packed[n] * lv.inv_fact) @ lv.counts
         return out
 
     def to_json(self) -> str:
@@ -268,7 +459,7 @@ def _as_test_function(space: FiniteSpace, psi: np.ndarray | Sequence[float]) -> 
 
 
 def evaluate(P: MultiObjectDensity, psi: np.ndarray | Sequence[float]) -> float:
-    """G(psi): contract every tensor with psi and sum with 1/n! weights."""
+    """G(psi): contract every dense tensor with psi and sum with 1/n! weights."""
     psi = _as_test_function(P.space, psi)
     total = float(P.tensors[0])
     for n in range(1, P.n_max + 1):
@@ -282,10 +473,11 @@ def evaluate(P: MultiObjectDensity, psi: np.ndarray | Sequence[float]) -> float:
 def contract(tensors, increments, base: np.ndarray, free: int = 0) -> np.ndarray:
     """sum_n c_n[increments, base^(n-k-free)] / (n-k-free)!, free axes open.
 
-    With free=0 this is the k-th variation at base of sum_n (1/n!) c_n[psi^n].
-    n is each tensor's axis count, not its list position. Increments, then
-    base, are contracted on leading axes through 2-D views, so the free axes
-    are the trailing ones.
+    The dense counterpart of derivatives() and pairings(), for the exact
+    functionals of functional_calculus. With free=0 this is the k-th
+    variation at base of sum_n (1/n!) c_n[psi^n]. n is each tensor's axis
+    count, not its list position. Increments, then base, are contracted on
+    leading axes through 2-D views, so the free axes are the trailing ones.
     """
     k = len(increments)
     last = tensors[-1]
@@ -304,14 +496,16 @@ def differentiate(P: MultiObjectDensity, x: str | int) -> MultiObjectDensity:
     """Differential along a Dirac at x, as a coefficient shift.
 
     The derivative of a truncated generating functional along a one-hot
-    increment is again one, with tensors p'_n(x_1..x_n) = p_{n+1}(x, x_1..x_n).
-    Differentiating past n_max yields the zero functional, not an error.
+    increment is again one, with p'_n(x_1..x_n) = p_{n+1}(x, x_1..x_n): a
+    gather of the entries at alpha + e_x. Differentiating past n_max yields
+    the zero functional, not an error.
     """
     ix = P.space.index(x)
+    d = P.space.size
     if P.n_max == 0:
-        return MultiObjectDensity(P.space, [0.0], truncation_mass=P.truncation_mass)
-    shifted = [P.tensors[n][ix] for n in range(1, P.n_max + 1)]
-    return MultiObjectDensity(P.space, shifted, truncation_mass=P.truncation_mass)
+        return MultiObjectDensity._from_packed(P.space, [np.zeros(1)], P.truncation_mass)
+    shifted = [P.packed[n + 1][_shift(d, n)[:, ix]] for n in range(P.n_max)]
+    return MultiObjectDensity._from_packed(P.space, shifted, P.truncation_mass)
 
 
 def janossy(P: MultiObjectDensity, points: Sequence[str | int]) -> float:
@@ -337,9 +531,10 @@ def scalar_product(P1: MultiObjectDensity, P2: MultiObjectDensity) -> float:
     """sum_n (1/n!) <p_{1,n}, p_{2,n}>, zero-padding the shorter family."""
     if P1.space.labels != P2.space.labels:
         raise ValueError("scalar product requires a common space")
+    d = P1.space.size
     total = 0.0
     for n in range(min(P1.n_max, P2.n_max) + 1):
-        total += float(np.sum(P1.tensors[n] * P2.tensors[n])) / math.factorial(n)
+        total += float((P1.packed[n] * P2.packed[n]) @ _level(d, n).inv_fact)
     return total
 
 
@@ -371,10 +566,8 @@ def poisson(
     lam = float(mu.sum())
     n_max = _poisson_cap(spec, lam, n_max)
     scale = math.exp(-lam)
-    tensors = [t * scale for t in powers(mu, n_max)]
-    return MultiObjectDensity(
-        space, tensors, symmetrize_input=True, truncation_mass=_poisson_tail(lam, n_max)
-    )
+    packed = [c * scale for c in exp_coefficients(mu, n_max)]
+    return MultiObjectDensity._from_packed(space, packed, _poisson_tail(lam, n_max))
 
 
 def _poisson_cap(spec: PoissonSpec, lam: float, n_max: int | None) -> int:
@@ -407,28 +600,111 @@ def bernoulli(
     return MultiObjectDensity(space, [1.0 - q, q * f])
 
 
-def powers(v: np.ndarray, n: int) -> list[np.ndarray]:
-    """[v^(x)l for l <= n]: the coefficients of exp(v[h]), by successive outer products."""
-    out = [np.ones(())]
-    for _ in range(n):
-        out.append(np.multiply.outer(out[-1], v))
-    return out
+# ---------------------------------------------------------------------------
+# kernels on packed levels
+# ---------------------------------------------------------------------------
+#
+# A list of packed levels p_0..p_n stands for the functional
+# sum over alpha of p(alpha) h^alpha / alpha!, so a product of functionals
+# is a convolution of count vectors and a variation a weighted sum over
+# them.
 
 
-def product(p, r, cap: int, d: int) -> list[np.ndarray]:
-    """Coefficients of the product of two functionals, unsymmetrized.
+def _levels(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
+    """Concatenated levels split at offsets (np.split costs more per call)."""
+    return [flat[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
-    t_k = sum_j C(k, j) p_j (x) r_{k-j} for k <= cap, j bounded by both list
-    lengths. Callers hand the t_k to MultiObjectDensity(...,
-    symmetrize_input=True), which symmetrizes each of them once.
+
+def exp_coefficients(v: np.ndarray, n: int) -> list[np.ndarray]:
+    """Levels 0..n of exp(v[h]): the entry at alpha is v^alpha."""
+    flat = np.prod(v ** _stacked(v.size, n)[0], axis=1)
+    return _levels(flat, _offsets(v.size, n))
+
+
+@functools.lru_cache(maxsize=64)
+def _product_index(d: int, n_p: int, n_r: int, cap: int) -> tuple[np.ndarray, ...]:
+    """The pairs of _pairs whose beta and gamma fit factors with n_p and
+    n_r levels, for a product capped at cap."""
+    bi, gi, ti, weight = _pairs(d, cap, min(n_p, cap))
+    keep = _stacked(d, cap)[1][gi] <= n_r
+    return bi[keep], gi[keep], ti[keep], weight[keep]
+
+
+def multiply(
+    p: Sequence[np.ndarray], r: Sequence[np.ndarray], cap: int, d: int
+) -> list[np.ndarray]:
+    """Levels 0..cap of the product of two functionals on d points.
+
+    t(alpha) = sum over beta + gamma = alpha of alpha!/(beta! gamma!) *
+    p(beta) * r(gamma); products past cap are dropped. Terms accumulate in a
+    fixed order, so equal inputs give bitwise-equal outputs.
     """
-    out = []
-    for k in range(cap + 1):
-        acc = np.zeros((d,) * k)
-        for j in range(max(0, k - len(r) + 1), min(k, len(p) - 1) + 1):
-            acc += math.comb(k, j) * np.multiply.outer(p[j], r[k - j])
-        out.append(acc)
-    return out
+    bi, gi, ti, weight = _product_index(d, len(p) - 1, len(r) - 1, cap)
+    terms = weight * np.concatenate(p)[bi] * np.concatenate(r)[gi]
+    off = _offsets(d, cap)
+    return _levels(np.bincount(ti, weights=terms, minlength=off[-1]), off)
+
+
+def linear_products(vectors: np.ndarray) -> np.ndarray:
+    """Level k of prod_i v_i[h], one row per term of a (terms, k, d) stack.
+
+    Multiplying by one linear functional v[h] maps t to
+    t'(alpha) = sum_x alpha_x t(alpha - e_x) v(x); rows never mix.
+    """
+    terms, k, d = vectors.shape
+    t = np.ones((terms, 1))
+    for i in range(k):
+        down, counts = _down(d, i + 1)
+        t = (t[:, down] * counts * vectors[:, i, None, :]).sum(axis=2)
+    return t
+
+
+def derivatives(packed: Sequence[np.ndarray], base: np.ndarray, k_max: int) -> list[np.ndarray]:
+    """D_0..D_k_max: the k-th variation of the functional at base, packed.
+
+    D_k(beta) = sum over gamma of c(beta + gamma) base^gamma / gamma!, the
+    symmetric k-tensor whose value at increments v_1..v_k is the variation
+    along them. Levels past n_max are zero. Each entry sums its own terms
+    in a fixed order, so D_k does not depend on k_max.
+    """
+    d, n = base.size, len(packed) - 1
+    counts, _, inv_fact = _stacked(d, n)
+    weights = np.prod(base ** counts, axis=1) * inv_fact
+    top = min(k_max, n)
+    bi, gi, ti, _ = _pairs(d, n, top)
+    off = _offsets(d, n)
+    flat = np.bincount(bi, weights=np.concatenate(packed)[ti] * weights[gi], minlength=off[top + 1])
+    return _levels(flat, off[: top + 2]) + [
+        np.zeros(len(_level(d, k).inv_fact)) for k in range(top + 1, k_max + 1)
+    ]
+
+
+def pairings(
+    level: np.ndarray, products: np.ndarray, d: int, k: int, free: bool = False
+) -> np.ndarray:
+    """sum over alpha of level(alpha) t(alpha) / alpha!, per row t of products.
+
+    products holds level k on d points, one row per term. With level = D_k
+    and rows from linear_products this is the variation along each row's
+    increments. With free=True, level is D_(k+1) and one index stays open:
+    entry [i, x] pairs row i with D_(k+1) shifted by e_x.
+    """
+    weighted = products * _level(d, k).inv_fact
+    if free:
+        return weighted @ level[_shift(d, k)]
+    return (weighted * level).sum(axis=1)
+
+
+def symmetric_power(matrix: np.ndarray, j: int) -> np.ndarray:
+    """S with pack(M^(x)j T) = S @ pack(T) for every symmetric j-tensor T.
+
+    M^(x)j applies matrix on every axis: (M^(x)j T)(x) = sum_y
+    prod_i M[x_i, y_i] T(y). On functionals it substitutes h -> M^T h, so
+    column beta is the product of the columns M[:, y] over the tuple of
+    beta, divided by beta!.
+    """
+    d = matrix.shape[0]
+    return linear_products(matrix.T[_tuples(d, j)]).T * _level(d, j).inv_fact
 
 
 def superpose(P1: MultiObjectDensity, P2: MultiObjectDensity) -> MultiObjectDensity:
@@ -442,10 +718,8 @@ def superpose(P1: MultiObjectDensity, P2: MultiObjectDensity) -> MultiObjectDens
     if P1.space.labels != P2.space.labels:
         raise ValueError("superpose requires a common space")
     k_max = max(P1.n_max, P2.n_max)
-    tensors = product(P1.tensors, P2.tensors, k_max, P1.space.size)
+    packed = multiply(P1.packed, P2.packed, k_max, P1.space.size)
     c1, c2 = P1.cardinality_distribution(), P2.cardinality_distribution()
     dropped = sum(float(c1[j] * c2[k_max + 1 - j :].sum()) for j in range(c1.size))
     mass = P1.truncation_mass + P2.truncation_mass + max(0.0, dropped)
-    return MultiObjectDensity(
-        P1.space, tensors, symmetrize_input=True, truncation_mass=mass
-    )
+    return MultiObjectDensity._from_packed(P1.space, packed, mass)

@@ -12,7 +12,9 @@ does, a walk over every set partition (signature_counts_by_set_partitions,
 the counting oracle for the engine's signature enumeration), and explicit
 Chapman-Kolmogorov transition tables (TransitionModel,
 build_multiplicative, conditional_slice, predicted_entry), which hold
-d^(n+m) entries and suit small spaces only.
+d^(n+m) entries and suit small spaces only, and the dense coefficient
+kernels (product, powers), outer products on (d,)*n arrays that the packed
+kernels of finite_pp are checked against.
 
 Oracles read a density only through tensor(n), n_max, space and
 truncation_mass, so the engines may change how they store coefficients.
@@ -47,6 +49,34 @@ from .finite_pp import (
 )
 from .functional_calculus import numeric_differential
 from .prediction import SurviveMoveBirth
+
+# ---------------------------------------------------------------------------
+# dense coefficient kernels
+# ---------------------------------------------------------------------------
+
+
+def powers(v: np.ndarray, n: int) -> list[np.ndarray]:
+    """[v^(x)l for l <= n]: the coefficients of exp(v[h]), by successive outer products."""
+    out = [np.ones(())]
+    for _ in range(n):
+        out.append(np.multiply.outer(out[-1], v))
+    return out
+
+
+def product(p, r, cap: int, d: int) -> list[np.ndarray]:
+    """Dense coefficients of the product of two functionals, unsymmetrized.
+
+    t_k = sum_j C(k, j) p_j (x) r_{k-j} for k <= cap, j bounded by both list
+    lengths; symmetrizing each t_k gives the product's coefficient tensors.
+    """
+    out = []
+    for k in range(cap + 1):
+        acc = np.zeros((d,) * k)
+        for j in range(max(0, k - len(r) + 1), min(k, len(p) - 1) + 1):
+            acc += math.comb(k, j) * np.multiply.outer(p[j], r[k - j])
+        out.append(acc)
+    return out
+
 
 # ---------------------------------------------------------------------------
 # polynomial algebra: exponent-tuple dictionaries

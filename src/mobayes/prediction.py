@@ -11,8 +11,10 @@ Its coefficients are the survivor tensors
     q_j = move^(x)j applied to sum_k p_k[die^(k-j)] / (k-j)!,
 
 with move = M p_S and die = 1 - p_S, times the birth functional through one
-finite_pp.product. SurviveMoveBirth.propagate computes them with one
-finite_pp.contract per survivor count; this is the scenario path.
+finite_pp.multiply. SurviveMoveBirth.propagate works on packed coefficients
+and never indexes their layout: finite_pp.derivatives gives the sums at
+base die, and a finite_pp.symmetric_power matrix per survivor count,
+built once per model, applies move^(x)j to them; this is the scenario path.
 
 predict runs any model with space, m_max and propagate; the explicit
 Chapman-Kolmogorov tables it is checked against (oracles.TransitionModel,
@@ -31,8 +33,9 @@ from .finite_pp import (
     TruncationOverflow,
     _as_test_function,
     _check_axes,
-    contract,
-    product,
+    derivatives,
+    multiply,
+    symmetric_power,
 )
 
 
@@ -73,6 +76,7 @@ class SurviveMoveBirth:
         self.birth = birth
         self.move = f * p_s  # move[x, y] = p_S(y) f(x|y)
         self.die = 1.0 - p_s
+        self._move_powers = [symmetric_power(self.move, j) for j in range(n_max + 1)]
 
     @property
     def m_max(self) -> int:
@@ -80,16 +84,10 @@ class SurviveMoveBirth:
 
     def propagate(self, posterior: MultiObjectDensity) -> MultiObjectDensity:
         """Survivor coefficients q_j times the birth functional, capped at n_max."""
-        d = self.space.size
-        survivors: list[np.ndarray] = []
-        for j in range(posterior.n_max + 1):
-            q = contract(posterior.tensors, [], self.die, free=j)
-            for _ in range(j):
-                # contract the leading y axis; its successor x goes last
-                q = q.reshape(d, -1).T @ self.move.T
-            survivors.append(q.reshape((d,) * j))
-        tensors = product(survivors, self.birth.tensors, self.n_max, d)
-        return MultiObjectDensity(self.space, tensors, symmetrize_input=True)
+        kept = derivatives(posterior.packed, self.die, posterior.n_max)
+        survivors = [S @ q for S, q in zip(self._move_powers, kept)]
+        packed = multiply(survivors, self.birth.packed, self.n_max, self.space.size)
+        return MultiObjectDensity._from_packed(self.space, packed)
 
 
 def predict(

@@ -63,6 +63,7 @@ class RunRecord:
     log_evidence: float
     intensity: np.ndarray
     cardinality: np.ndarray
+    truncation_mass: float = 0.0  # cumulative mass dropped at cardinality caps
 
     @property
     def map_cardinality(self) -> int:
@@ -314,7 +315,13 @@ def load_config(doc: dict | str | os.PathLike) -> Scenario:
 def _sample_tuple(
     rng: np.random.Generator, density: MultiObjectDensity
 ) -> tuple[int, ...]:
-    """Draw one configuration (as state indices) from a normalized density."""
+    """Draw one configuration (as state indices) from a normalized density.
+
+    The draw reads the dense view, one rng.choice over all d**n ordered
+    tuples: a draw over packed entries would consume the stream
+    differently and change every simulated episode, and with them the
+    recorded references of the track benchmark.
+    """
     card = np.clip(density.cardinality_distribution(), 0.0, None)
     card = card / card.sum()
     n = int(rng.choice(len(card), p=card))
@@ -402,6 +409,7 @@ def _record(step: int, measurements: list[str], posterior: Posterior) -> RunReco
         log_evidence=posterior.log_evidence,
         intensity=posterior.intensity,
         cardinality=card,
+        truncation_mass=posterior.density.truncation_mass,
     )
 
 
@@ -430,6 +438,7 @@ def run(
             log_evidence=0.0,
             intensity=belief.intensity_vector(),
             cardinality=belief.cardinality_distribution(),
+            truncation_mass=belief.truncation_mass,
         )
     ]
     failed_step: int | None = None
@@ -478,6 +487,8 @@ def write_outputs(
 
     failed_step and overflow_step name the step at which evidence hit zero
     or prediction overflowed its truncation budget; None when it did not.
+    Each summary record carries the belief's cumulative truncation_mass;
+    run.csv has no such column.
     """
     os.makedirs(out_dir, exist_ok=True)
     labels = scenario.state_space.labels
@@ -512,6 +523,7 @@ def write_outputs(
                 "measurements": r.measurements,
                 "log_evidence": r.log_evidence,
                 "map_cardinality": r.map_cardinality,
+                "truncation_mass": r.truncation_mass,
             }
             for r in records
         ],

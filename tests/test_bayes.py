@@ -253,9 +253,9 @@ class TestPartitionUpdate:
         for s, t in zip(pruned.density.tensors, full.density.tensors):
             np.testing.assert_array_equal(s, t)
 
-    def test_symmetrizes_once_per_tensor(self, monkeypatch):
-        """Numerators are plain sums: only the posterior's constructor
-        symmetrizes, once per tensor of cardinality two or more."""
+    def test_never_symmetrizes(self, monkeypatch):
+        """The update works on packed coefficients, which are symmetric by
+        construction: it makes no orbit pass at all."""
         rng = np.random.default_rng(79)
         prior = random_density(rng, space(2), 4)
         kernel = random_kernel(rng, space(2), space(2, "z"), 2)
@@ -269,7 +269,8 @@ class TestPartitionUpdate:
 
         monkeypatch.setattr(mobayes.finite_pp, "symmetrize_axes", counted)
         posterior_partition_clutter(prior, kernel, clutter, ["za", "zb", "za"])
-        assert calls == [(2, 2), (2, 2, 2), (2, 2, 2, 2)]
+        posterior_intensity_clutter(prior, kernel, clutter, ["za", "zb", "za"])
+        assert calls == []
 
     def test_prior_scaling_invariance(self):
         """An unnormalized prior numerator renormalizes away."""

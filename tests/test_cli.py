@@ -393,6 +393,21 @@ class TestOutputs:
         assert len(doc["records"]) == 3
         assert doc["records"][1]["measurements"] == records[1].measurements
 
+    def test_summary_records_the_cumulative_truncation_mass(self, tmp_path):
+        """A cap of two objects drops mass at every prediction; each summary
+        record carries the belief's running total, and run.csv gains no column."""
+        transition = dict(base_config()["transition"], max_dropped=0.5)
+        sc = load_config(base_config(n_max=2, transition=transition, steps=4))
+        records, failed = run(sc, tmp_path)
+        assert failed is None
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        masses = [r["truncation_mass"] for r in doc["records"]]
+        assert masses == [r.truncation_mass for r in records]
+        assert masses[0] == sc.prior.truncation_mass
+        assert all(b > a for a, b in zip(masses, masses[1:]))
+        header = (tmp_path / "run.csv").read_text().splitlines()[0]
+        assert "truncation" not in header
+
     def test_runs_are_byte_identical(self, tmp_path):
         outs = []
         for name in ("one", "two"):

@@ -28,15 +28,21 @@ from mobayes import (
 )
 from mobayes.finite_pp import (
     MAX_TENSOR_AXES,
+    _pack,
+    _unpack,
     contract,
+    derivatives,
     is_symmetric,
-    powers,
-    product,
+    linear_products,
+    multiply,
+    pairings,
+    symmetric_power,
     symmetrize,
     symmetrize_axes,
 )
 from mobayes.functional_calculus import numeric_differential
 from mobayes.instances import random_density, space
+from mobayes.oracles import powers, product
 
 
 def eval_brute(P: MultiObjectDensity, psi: np.ndarray) -> float:
@@ -479,15 +485,15 @@ class TestBernoulliAndSuperpose:
             for s, want in zip(t, P.tensors):
                 np.testing.assert_array_equal(s, want)
 
-    def test_product_symmetrized_is_superpose(self):
+    def test_multiply_is_superpose(self):
         rng = np.random.default_rng(37)
         P1 = random_density(rng, space(3), 3)
         P2 = random_density(rng, space(3), 2)
         S = superpose(P1, P2)
-        raw = product(P1.tensors, P2.tensors, S.n_max, 3)
+        raw = multiply(P1.packed, P2.packed, S.n_max, 3)
         assert len(raw) == S.n_max + 1
-        for k, (s, t) in enumerate(zip(raw, S.tensors)):
-            np.testing.assert_array_equal(symmetrize(s) if k >= 2 else s, t)
+        for s, t in zip(raw, S.packed):
+            np.testing.assert_array_equal(s, t)
 
     def test_powers_are_the_exponential_coefficients(self):
         v = np.array([0.5, -2.0, 3.0])
@@ -503,3 +509,132 @@ class TestBernoulliAndSuperpose:
                 random_density(rng, space(2), 1),
                 random_density(rng, space(2, "z"), 1),
             )
+
+
+def assert_close(got, want, rel=1e-13):
+    """Largest entry gap within rel of the largest reference entry."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+def random_symmetric(rng, d, n):
+    return symmetrize(rng.normal(size=(d,) * n))
+
+
+# every (d, n) the packed kernels are checked on, against the dense oracles
+SIZES = [(d, n) for d in range(1, 5) for n in range(7)]
+
+
+class TestPackedKernels:
+    """Packed coefficients and kernels against the dense tensors: d in 1..4,
+    cardinalities up to 6, relative gaps within 1e-13."""
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_pack_view_pack_round_trip_is_bitwise(self, d):
+        rng = np.random.default_rng(200 + d)
+        P = random_density(rng, space(d), 6)
+        again = MultiObjectDensity(P.space, P.tensors)
+        for a, b in zip(P.packed, again.packed):
+            np.testing.assert_array_equal(a, b)
+        for n in range(7):
+            level = rng.normal(size=math.comb(d + n - 1, n))
+            np.testing.assert_array_equal(_pack(_unpack(level, d, n), n, False), level)
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_view_and_entry_read_the_orbit_value(self, d):
+        rng = np.random.default_rng(210 + d)
+        dense = [np.asarray(rng.normal())] + [random_symmetric(rng, d, n) for n in range(1, 7)]
+        P = MultiObjectDensity(space(d), dense)
+        for n, t in enumerate(dense):
+            np.testing.assert_array_equal(P.tensors[n], t)
+            for tup in itertools.islice(itertools.product(range(d), repeat=n), 50):
+                assert P.entry(tup) == t[tup]
+        assert len(P.packed[6]) == math.comb(d + 5, 6)
+        with pytest.raises(ValueError):
+            P.tensors[2][(0,) * 2] = 1.0
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_symmetrizing_constructor_packs_the_orbit_mean(self, d):
+        rng = np.random.default_rng(220 + d)
+        raw = [rng.normal()] + [rng.normal(size=(d,) * n) for n in range(1, 7)]
+        P = MultiObjectDensity(space(d), raw, symmetrize_input=True)
+        for n in range(2, 7):
+            np.testing.assert_array_equal(P.tensors[n], symmetrize(raw[n]))
+
+    def test_multiply_matches_the_dense_product(self):
+        rng = np.random.default_rng(230)
+        for d in range(1, 5):
+            for n_p, n_r in itertools.product(range(4), repeat=2):
+                p = [rng.normal()] + [random_symmetric(rng, d, n) for n in range(1, n_p + 1)]
+                r = [rng.normal()] + [random_symmetric(rng, d, n) for n in range(1, n_r + 1)]
+                pp = [_pack(np.asarray(t), n, False) for n, t in enumerate(p)]
+                rr = [_pack(np.asarray(t), n, False) for n, t in enumerate(r)]
+                for cap in {n_p + n_r, max(n_p, n_r)}:
+                    got = multiply(pp, rr, cap, d)
+                    want = product(p, r, cap, d)
+                    assert len(got) == cap + 1
+                    for k, (g, w) in enumerate(zip(got, want)):
+                        assert_close(_unpack(g, d, k), symmetrize(w))
+
+    def test_linear_products_match_outer_products(self):
+        rng = np.random.default_rng(240)
+        for d, k in SIZES:
+            vecs = rng.normal(size=(3, k, d))
+            got = linear_products(vecs)
+            for row, v in zip(got, vecs):
+                dense = np.ones(())
+                for u in v:
+                    dense = np.multiply.outer(dense, u)
+                assert_close(_unpack(row, d, k), math.factorial(k) * symmetrize(dense))
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_derivatives_and_pairings_match_contract(self, d):
+        rng = np.random.default_rng(250 + d)
+        P = random_density(rng, space(d), 6)
+        base = rng.normal(size=d)
+        D = derivatives(P.packed, base, 7)
+        np.testing.assert_array_equal(D[7], np.zeros(math.comb(d + 6, 7)))
+        for k in range(7):
+            assert_close(_unpack(D[k], d, k), contract(P.tensors, [], base, free=k))
+            vecs = rng.normal(size=(2, k, d))
+            got = pairings(D[k], linear_products(vecs), d, k)
+            assert_close(got, [contract(P.tensors, list(v), base) for v in vecs])
+            free = pairings(D[k + 1], linear_products(vecs), d, k, free=True)
+            assert_close(free, [contract(P.tensors, list(v), base, free=1) for v in vecs])
+
+    def test_symmetric_power_applies_the_matrix_on_every_axis(self):
+        rng = np.random.default_rng(260)
+        for d, j in SIZES:
+            M = rng.normal(size=(d, d))
+            T = random_symmetric(rng, d, j) if j else np.asarray(rng.normal())
+            want = T
+            for _ in range(j):
+                # contract the leading axis with M's second index; x goes last
+                want = want.reshape(d, -1).T @ M.T
+            got = symmetric_power(M, j) @ _pack(T, j, False)
+            assert_close(_unpack(got, d, j), want.reshape((d,) * j))
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_reads_match_the_dense_formulas(self, d):
+        rng = np.random.default_rng(270 + d)
+        P = random_density(rng, space(d), 6).scaled(1.7)
+        Q = random_density(rng, space(d), 5)
+        dense_card = [float(np.sum(t)) / math.factorial(n) for n, t in enumerate(P.tensors)]
+        assert_close(P.cardinality_distribution(), dense_card)
+        dense_int = sum(
+            t.reshape(d, -1).sum(axis=1) / math.factorial(n - 1)
+            for n, t in enumerate(P.tensors)
+            if n
+        )
+        assert_close(P.intensity_vector(), dense_int)
+        dense_sp = sum(
+            float(np.sum(s * t)) / math.factorial(n)
+            for n, (s, t) in enumerate(zip(P.tensors, Q.tensors))
+        )
+        assert_close(scalar_product(P, Q), dense_sp)
+        for x in range(d):
+            shifted = differentiate(P, x)
+            assert shifted.n_max == P.n_max - 1
+            for n, t in enumerate(shifted.tensors):
+                np.testing.assert_array_equal(t, P.tensors[n + 1][x])

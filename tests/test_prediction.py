@@ -264,10 +264,9 @@ class TestSurviveMoveBirth:
                     np.testing.assert_allclose(s, t, rtol=0, atol=1e-14)
                 assert got.truncation_mass == pytest.approx(want.truncation_mass, rel=0, abs=1e-14)
 
-    def test_symmetrizes_once_per_tensor(self, monkeypatch):
-        """Survivor and birth coefficients are multiplied as plain arrays: only
-        the predicted density's constructor symmetrizes, once per tensor of
-        cardinality two or more."""
+    def test_never_symmetrizes(self, monkeypatch):
+        """Survivor and birth coefficients are multiplied packed, so predict
+        makes no orbit pass at all."""
         rng = np.random.default_rng(111)
         sp = space(2)
         post = random_density(rng, sp, 3)
@@ -282,7 +281,7 @@ class TestSurviveMoveBirth:
 
         monkeypatch.setattr(mobayes.finite_pp, "symmetrize_axes", counted)
         predict(post, model, max_dropped=1.0)
-        assert calls == [(2, 2), (2, 2, 2), (2, 2, 2, 2)]
+        assert calls == []
 
     def test_overflow_agrees_with_the_tables(self):
         sp = space(2)
