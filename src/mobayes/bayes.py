@@ -364,7 +364,8 @@ def _partition_engine(
     Z: MeasurementSet,
     clutter: MultiObjectDensity | None,
     prune: bool,
-) -> tuple[float, np.ndarray, dict]:
+    spare: int = 0,
+) -> tuple[float, np.ndarray, dict, list[np.ndarray]]:
     """Log evidence and the normalized terms of the partition-sum update.
 
     Each distinct signature within the caps (kernel.m_max when pruning,
@@ -375,9 +376,10 @@ def _partition_engine(
     block. The evidence sum w * den is a log-sum-exp over log|w| + log|den|
     that carries each term's sign, so evidences far below the smallest
     double do not underflow. Returns the log evidence, w / evidence per
-    term in sorted signature order, and the terms grouped by block count
-    (_group_products); a term whose denominator is 0 is kept, since its
-    numerator need not vanish.
+    term in sorted signature order, the terms grouped by block count
+    (_group_products), and the prior's variations D_0..D_(K + spare) at the
+    missed-detection profile, K the largest block count; a term whose
+    denominator is 0 is kept, since its numerator need not vanish.
     """
     _check_update_spaces(prior, kernel, clutter)
     z_idx = tuple(kernel.obs_space.indices(Z))
@@ -399,7 +401,7 @@ def _partition_engine(
             blocks.append(vecs)
     d = prior.space.size
     groups = _group_products(blocks, d)
-    D = derivatives(prior.packed, kernel.tables[0], len(groups) - 1)
+    D = derivatives(prior.packed, kernel.tables[0], len(groups) - 1 + spare)
     dens = np.zeros(len(blocks))
     for k, (idx, _, products) in groups.items():
         dens[idx] = pairings(D[k], products, d, k)
@@ -416,7 +418,7 @@ def _partition_engine(
     scales = np.array(
         [math.copysign(math.exp(math.log(abs(w)) - log_evidence), w) for w in weights]
     )
-    return log_evidence, scales, groups
+    return log_evidence, scales, groups, D
 
 
 def posterior_partition_clutter(
@@ -436,7 +438,7 @@ def posterior_partition_clutter(
     density; posterior_intensity_clutter evaluates the same quantity from
     the partition sum directly.
     """
-    log_evidence, scales, groups = _partition_engine(prior, kernel, Z, clutter, prune)
+    log_evidence, scales, groups, _ = _partition_engine(prior, kernel, Z, clutter, prune)
     n, d = prior.n_max, prior.space.size
     block = _block_functional(scales, groups)
     likelihood = multiply(block, exp_coefficients(kernel.tables[0], n), n, d)
@@ -454,9 +456,9 @@ def posterior_intensity_clutter(
     prune: bool = True,
 ) -> np.ndarray:
     """Posterior intensity under clutter, from the partition sum directly."""
-    _, scales, groups = _partition_engine(prior, kernel, Z, clutter, prune)
+    # the appended terms read one variation past the largest block count
+    _, scales, groups, D = _partition_engine(prior, kernel, Z, clutter, prune, spare=1)
     p0 = kernel.tables[0]
-    D = derivatives(prior.packed, p0, len(groups))
     intensity = np.zeros(prior.space.size)
     for idx, vectors, products in groups.values():
         intensity += scales[idx] @ _intensity_terms(D, p0, vectors, products)

@@ -18,9 +18,12 @@ functionals (superposition, prediction and the update numerators),
 linear_products() the coefficients of products of linear functionals,
 exp_coefficients() those of exp(v[h]), derivatives() the variations of a
 functional at a base test function, pairings() their values at given
-increments, and symmetric_power() a matrix acting on every axis of a
-symmetric tensor. tensors/tensor(n) is a dense (d,)*n view, unpacked on
-first access and cached, for JSON I/O, sampling and the oracles; evaluate()
+increments, and substitute() the functional at a linear map of its
+argument, which applies a matrix on every axis of each level. The index
+tables walk the levels as a tree (each multiset followed by its
+extensions), so none sorts and none grows with the square of a level.
+tensors/tensor(n) is a dense (d,)*n view, unpacked on first access and
+cached, for JSON I/O, sampling and the oracles; evaluate()
 and contract() work on it and stay separate from the engines. The
 constructor is the one place symmetry is enforced: symmetrize_input=True
 packs every array by orbit mean (the values symmetrize writes), and
@@ -35,7 +38,6 @@ import functools
 import itertools
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -172,83 +174,130 @@ class PoissonSpec:
 #
 # Level n holds one entry per index multiset of size n, in lexicographic
 # order of the sorted index tuples (the order of
-# itertools.combinations_with_replacement(range(d), n)). Every table below
-# is built with numpy, without a loop per entry, and cached per layout.
-
-
-# The highest level a table serves: a dense view has at most
-# MAX_TENSOR_AXES + 1 axes, and the intensity reads one level past n_max.
-_TOP_LEVEL = MAX_TENSOR_AXES + 2
-_FACTORIALS = np.array([math.factorial(k) for k in range(_TOP_LEVEL + 1)], dtype=float)
+# itertools.combinations_with_replacement(range(d), n)). The levels form a
+# tree: level n + 1 lists, for each multiset of level n in turn, its
+# extensions by each index from its largest on. Every table walks that
+# tree level by level with numpy gathers, so none sorts, none loops per
+# entry, and none holds d entries per multiset beyond the (m, d) shift
+# tables; all are cached per layout.
 
 
 class _Level(NamedTuple):
-    counts: np.ndarray  # (m, d) count vectors alpha, in layout order
+    tuples: np.ndarray  # (m, n) sorted index tuples, in layout order
+    parent: np.ndarray  # position at level n - 1 without the largest index
     last: np.ndarray  # the largest index of each multiset (0 at level 0)
+    first: np.ndarray  # position at level n + 1 of its extension by `last`
+    run: np.ndarray  # how often the largest index occurs (0 at level 0)
+    fact: np.ndarray  # alpha!, an exact integer in floats
     inv_fact: np.ndarray  # 1 / alpha!
 
 
 @functools.lru_cache(maxsize=None)
 def _level(d: int, n: int) -> _Level:
     if n == 0:
-        counts = np.zeros((1, d), dtype=np.intp)
-        last = np.zeros(1, dtype=np.intp)
-    else:
-        # extend every multiset of size n - 1 by each index from its largest on
-        prev = _level(d, n - 1)
-        parent, last = np.nonzero(np.arange(d) >= prev.last[:, None])
-        counts = prev.counts[parent] + np.eye(d, dtype=np.intp)[last]
-    return _Level(counts, last, 1.0 / _FACTORIALS[counts].prod(axis=1))
+        zero, one = np.zeros(1, dtype=np.intp), np.ones(1)
+        return _Level(np.zeros((1, 0), dtype=np.intp), zero, zero, zero, zero, one, one)
+    prev = _level(d, n - 1)
+    parent, last = np.nonzero(np.arange(d) >= prev.last[:, None])
+    run = np.where(last == prev.last[parent], prev.run[parent] + 1, 1)
+    fact = prev.fact[parent] * run
+    tuples = np.concatenate([prev.tuples[parent], last[:, None]], axis=1)
+    children = d - last
+    first = np.cumsum(children) - children
+    return _Level(tuples, parent, last, first, run, fact, 1.0 / fact)
 
 
-def _tuples(d: int, n: int) -> np.ndarray:
-    """(m, n) sorted index tuples of level n, in layout order."""
-    counts = _level(d, n).counts
-    return np.repeat(np.tile(np.arange(d), len(counts)), counts.reshape(-1)).reshape(len(counts), n)
-
-
-@functools.lru_cache(maxsize=None)
-def _multiset_counts(d: int) -> np.ndarray:
-    """table[b + 1, w] = C(b + w, b), the multisets of size b over w + 1
-    indices, for b below _TOP_LEVEL; row 0 (b = -1) is zero."""
-    table = np.zeros((_TOP_LEVEL + 1, d), dtype=np.intp)
-    table[1:, 0] = 1
-    for w in range(1, d):
-        # C(b + w, b) sums C(b' + w - 1, b') over b' <= b; entries too large
-        # for intp wrap, but no level that fits in memory reads them
-        table[1:, w] = np.cumsum(table[1:, w - 1])
-    return table
+def _locate(tuples: np.ndarray, d: int) -> np.ndarray:
+    """Layout position within its level of each sorted tuple (last axis),
+    walking the tree from the empty multiset."""
+    pos = np.zeros(tuples.shape[:-1], dtype=np.intp)
+    for k in range(tuples.shape[-1]):
+        lv = _level(d, k)
+        pos = lv.first[pos] + tuples[..., k] - lv.last[pos]
+    return pos
 
 
 @functools.lru_cache(maxsize=64)
 def _offsets(d: int, n: int) -> np.ndarray:
     """Start of each level 0..n, and the end, in the levels concatenated."""
-    return np.concatenate([[0], np.cumsum(_multiset_counts(d)[1 : n + 2, d - 1])])
-
-
-def _rank(counts: np.ndarray, level, d: int) -> np.ndarray:
-    """Layout position within its level of each count vector (last axis).
-
-    With S_v the count of indices up to v, the multisets of size k that
-    share alpha's indices up to v and hold one more v come before alpha:
-    C(d - v + k - S_v - 2, k - S_v - 1) of them when S_v < k. Counts add,
-    so the rank of beta + gamma needs no sort. level is an int or an
-    array that broadcasts against counts.
-    """
-    below = level - np.cumsum(counts, axis=-1)
-    return _multiset_counts(d)[below, np.arange(d - 1, -1, -1)].sum(axis=-1)
+    return np.cumsum([0] + [math.comb(d + k - 1, k) for k in range(n + 1)])
 
 
 @functools.lru_cache(maxsize=64)
-def _stacked(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Count vectors of levels 0..n concatenated, the level of each, and
-    1 / alpha!."""
+def _shift(d: int, n: int) -> np.ndarray:
+    """(m_n, d) positions at level n + 1 of alpha + e_x.
+
+    For x from alpha's largest index l on, alpha + e_x is one of alpha's
+    extensions. Below l it is the extension by l of (alpha - e_l) + e_x,
+    one level down.
+    """
+    lv = _level(d, n)
+    last = lv.last[:, None]
+    out = lv.first[:, None] + np.arange(d) - last
+    if n:
+        low = _shift(d, n - 1)[lv.parent]
+        out = np.where(np.arange(d) < last, lv.first[low] + last - lv.last[low], out)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _drop(d: int, n: int) -> np.ndarray:
+    """(m_n, n) positions at level n - 1 of alpha's tuple with entry p
+    removed, for each position p: the parent for the last entry, and for
+    an earlier one the extension by alpha's largest index of the parent
+    with that entry removed."""
+    lv = _level(d, n)
+    if n == 1:
+        return lv.parent[:, None]
+    below = _level(d, n - 2)
+    cut = _drop(d, n - 1)[lv.parent]
+    inner = below.first[cut] + lv.last[:, None] - below.last[cut]
+    return np.concatenate([inner, lv.parent[:, None]], axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def _lift(d: int, n: int) -> np.ndarray:
+    """(m_n, n) rows (alpha - e_x, x) of a (m_(n-1) * d)-row array, x at
+    each position of alpha's tuple."""
+    return _drop(d, n) * d + _level(d, n).tuples
+
+
+class _Stack(NamedTuple):
+    """Levels 0..n concatenated; parent positions index the concatenation."""
+
+    columns: np.ndarray  # (n, N) sorted tuples padded with d, by columns
+    level: np.ndarray
+    parent: np.ndarray
+    last: np.ndarray
+    fact: np.ndarray
+    inv_fact: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _stacked(d: int, n: int) -> _Stack:
+    """The levels' tables concatenated. The tuples are stored by columns, so
+    a product over a tuple reduces across rows."""
+    off = _offsets(d, n)
     levels = [_level(d, k) for k in range(n + 1)]
-    return (
-        np.concatenate([lv.counts for lv in levels]),
-        np.repeat(np.arange(n + 1), np.diff(_offsets(d, n))),
+    columns = np.full((n, off[-1]), d, dtype=np.intp)
+    for k in range(1, n + 1):
+        columns[:k, off[k] : off[k + 1]] = levels[k].tuples.T
+    return _Stack(
+        columns,
+        np.repeat(np.arange(n + 1), np.diff(off)),
+        np.concatenate([off[max(k - 1, 0)] + lv.parent for k, lv in enumerate(levels)]),
+        np.concatenate([lv.last for lv in levels]),
+        np.concatenate([lv.fact for lv in levels]),
         np.concatenate([lv.inv_fact for lv in levels]),
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _grow(d: int, n: int) -> np.ndarray:
+    """(N, d) positions of beta + e_y in levels 0..n + 1 concatenated, for
+    every beta of levels 0..n concatenated."""
+    off = _offsets(d, n + 1)
+    return np.concatenate([off[k + 1] + _shift(d, k) for k in range(n + 1)])
 
 
 @functools.lru_cache(maxsize=64)
@@ -258,34 +307,24 @@ def _pairs(d: int, n: int, top: int) -> tuple[np.ndarray, ...]:
     gamma and alpha = beta + gamma in levels 0..n concatenated, and the
     weight alpha!/(beta! gamma!). Pairs with a larger top extend this
     list, so sums over it do not depend on top."""
-    counts, level, _ = _stacked(d, n)
+    _, level, parent, last, fact, _ = _stacked(d, n)
+    off = _offsets(d, n)
     # each beta meets every gamma up to n - |beta|
-    width = _offsets(d, n)[n + 1 - level[: _offsets(d, top)[-1]]]
+    width = off[n + 1 - level[: off[top + 1]]]
+    start = np.cumsum(width) - width
     bi = np.repeat(np.arange(len(width)), width)
-    gi = np.arange(len(bi)) - np.repeat(np.cumsum(width) - width, width)
-    alpha = counts[bi] + counts[gi]
-    at = level[bi] + level[gi]
-    ti = _offsets(d, n)[at] + _rank(alpha, at[:, None], d)
-    binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], dtype=float)
-    weight = binom[alpha, counts[bi]].prod(axis=1)
-    return bi, gi, ti, weight
-
-
-@functools.lru_cache(maxsize=64)
-def _shift(d: int, n: int) -> np.ndarray:
-    """(m_n, d) positions at level n + 1 of alpha + e_x."""
-    alpha = _level(d, n).counts[:, None, :] + np.eye(d, dtype=np.intp)
-    return _rank(alpha, n + 1, d)
-
-
-@functools.lru_cache(maxsize=64)
-def _down(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m_n, d) positions at level n - 1 of alpha - e_x (0 where alpha_x = 0),
-    and the counts alpha_x as floats, which vanish exactly there."""
-    shift = _shift(d, n - 1)
-    down = np.zeros((len(_level(d, n).inv_fact), d), dtype=np.intp)
-    down[shift, np.arange(d)] = np.arange(shift.shape[0])[:, None]
-    return down, _level(d, n).counts.astype(float)
+    gi = np.arange(len(bi)) - np.repeat(start, width)
+    # beta + gamma is beta + parent(gamma), grown by gamma's largest index;
+    # the pair (beta, parent(gamma)) sits at start[beta] + parent(gamma)
+    ti = bi.copy()
+    if n:
+        grow = _grow(d, n - 1)
+        for k in range(1, n + 1):
+            at = np.nonzero(level[gi] == k)[0]
+            g = gi[at]
+            ti[at] = grow[ti[start[bi[at]] + parent[g]], last[g]]
+    # exact integers, so the quotient is exact
+    return bi, gi, ti, fact[ti] / (fact[bi] * fact[gi])
 
 
 @functools.lru_cache(maxsize=64)
@@ -308,7 +347,7 @@ def _pack(arr: np.ndarray, n: int, mean: bool) -> np.ndarray:
         # orbit sizes n!/alpha!, as symmetrize's are
         orbit = np.rint(math.factorial(n) * _level(d, n).inv_fact)
         return np.bincount(_dense_index(d, n), weights=flat) / orbit
-    return flat[_tuples(d, n) @ d ** np.arange(n - 1, -1, -1)]
+    return flat[_level(d, n).tuples @ d ** np.arange(n - 1, -1, -1)]
 
 
 def _unpack(entries: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -389,12 +428,8 @@ class MultiObjectDensity:
 
     def entry(self, points: Sequence[str | int]) -> float:
         """p_n(x_1..x_n) at one tuple of points, read from its packed level."""
-        idx = sorted(self.space.indices(points))
-        d, n = self.space.size, len(idx)
-        table = _multiset_counts(d)
-        # _rank's sum term by term; the terms from the largest index on vanish
-        below = [n - bisect_right(idx, v) for v in range(max(idx, default=0))]
-        return float(self.packed[n][sum(table.item(b, d - 1 - v) for v, b in enumerate(below))])
+        idx = np.sort(np.array(self.space.indices(points), dtype=np.intp))
+        return float(self.packed[idx.size][_locate(idx, self.space.size)])
 
     def total_mass(self) -> float:
         """G(1), read off the cardinality distribution; evaluate() is the oracle."""
@@ -415,12 +450,12 @@ class MultiObjectDensity:
 
     def intensity_vector(self) -> np.ndarray:
         """First factorial moment, M_1 = sum over alpha of c(alpha) alpha/alpha!."""
-        d = self.space.size
-        out = np.zeros(d)
-        for n in range(1, self.n_max + 1):
-            lv = _level(d, n)
-            out += (self.packed[n] * lv.inv_fact) @ lv.counts
-        return out
+        d, n = self.space.size, self.n_max
+        stack = _stacked(d, n)
+        # alpha_x counts the positions of alpha's tuple holding x; the
+        # padding lands in bin d
+        weights = np.tile(np.concatenate(self.packed) * stack.inv_fact, n)
+        return np.bincount(stack.columns.reshape(-1), weights=weights, minlength=d + 1)[:d]
 
     def to_json(self) -> str:
         doc = {
@@ -615,19 +650,25 @@ def _levels(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
     return [flat[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
 
+def _powers(v: np.ndarray, n: int) -> np.ndarray:
+    """v^alpha for every alpha of levels 0..n concatenated."""
+    return np.prod(np.append(v, 1.0)[_stacked(v.size, n).columns], axis=0)
+
+
 def exp_coefficients(v: np.ndarray, n: int) -> list[np.ndarray]:
     """Levels 0..n of exp(v[h]): the entry at alpha is v^alpha."""
-    flat = np.prod(v ** _stacked(v.size, n)[0], axis=1)
-    return _levels(flat, _offsets(v.size, n))
+    return _levels(_powers(v, n), _offsets(v.size, n))
 
 
 @functools.lru_cache(maxsize=64)
 def _product_index(d: int, n_p: int, n_r: int, cap: int) -> tuple[np.ndarray, ...]:
     """The pairs of _pairs whose beta and gamma fit factors with n_p and
     n_r levels, for a product capped at cap."""
-    bi, gi, ti, weight = _pairs(d, cap, min(n_p, cap))
-    keep = _stacked(d, cap)[1][gi] <= n_r
-    return bi[keep], gi[keep], ti[keep], weight[keep]
+    pairs = _pairs(d, cap, min(n_p, cap))
+    if n_r >= cap:
+        return pairs  # every gamma fits: share the table
+    keep = _stacked(d, cap).level[pairs[1]] <= n_r
+    return tuple(a[keep] for a in pairs)
 
 
 def multiply(
@@ -649,13 +690,13 @@ def linear_products(vectors: np.ndarray) -> np.ndarray:
     """Level k of prod_i v_i[h], one row per term of a (terms, k, d) stack.
 
     Multiplying by one linear functional v[h] maps t to
-    t'(alpha) = sum_x alpha_x t(alpha - e_x) v(x); rows never mix.
+    t'(alpha) = sum_x alpha_x t(alpha - e_x) v(x), a sum over the positions
+    of alpha's tuple; rows never mix.
     """
     terms, k, d = vectors.shape
     t = np.ones((terms, 1))
     for i in range(k):
-        down, counts = _down(d, i + 1)
-        t = (t[:, down] * counts * vectors[:, i, None, :]).sum(axis=2)
+        t = (t[:, _drop(d, i + 1)] * vectors[:, i, _level(d, i + 1).tuples]).sum(axis=2)
     return t
 
 
@@ -668,8 +709,7 @@ def derivatives(packed: Sequence[np.ndarray], base: np.ndarray, k_max: int) -> l
     in a fixed order, so D_k does not depend on k_max.
     """
     d, n = base.size, len(packed) - 1
-    counts, _, inv_fact = _stacked(d, n)
-    weights = np.prod(base ** counts, axis=1) * inv_fact
+    weights = _powers(base, n) * _stacked(d, n).inv_fact
     top = min(k_max, n)
     bi, gi, ti, _ = _pairs(d, n, top)
     off = _offsets(d, n)
@@ -695,16 +735,30 @@ def pairings(
     return (weighted * level).sum(axis=1)
 
 
-def symmetric_power(matrix: np.ndarray, j: int) -> np.ndarray:
-    """S with pack(M^(x)j T) = S @ pack(T) for every symmetric j-tensor T.
+def substitute(packed: Sequence[np.ndarray], matrix: np.ndarray) -> list[np.ndarray]:
+    """Levels of the functional F(matrix^T h), (matrix^T h)(y) = sum_x
+    matrix[x, y] h(x): level j is level j of F with matrix applied on every
+    axis, (M^(x)j T)(x) = sum_y prod_i M[x_i, y_i] T(y).
 
-    M^(x)j applies matrix on every axis: (M^(x)j T)(x) = sum_y
-    prod_i M[x_i, y_i] T(y). On functionals it substitutes h -> M^T h, so
-    column beta is the product of the columns M[:, y] over the tuple of
-    beta, divided by beta!.
+    The substitution moves one factor at a time. F_i(u, h) = (1/i!) d^i/ds^i
+    F(h + s matrix^T u) at s = 0 has u-level i, stored as one row per
+    u-multiset over h-levels 0..n - i; F_(i+1) is 1/(i+1) times the sum over
+    y of (matrix^T u)_y dF_i/dh_y, and F_i's h-level 0 is level i of the
+    result. A step holds d times the entries of one row block, so nothing
+    grows with the square of a level.
     """
-    d = matrix.shape[0]
-    return linear_products(matrix.T[_tuples(d, j)]).T * _level(d, j).inv_fact
+    d, n = matrix.shape[0], len(packed) - 1
+    t = np.concatenate(packed)[None, :]
+    out = [t[:, 0]]
+    for i in range(n):
+        grow = _grow(d, n - i - 1)
+        # row (a, x), column b: sum_y matrix[x, y] t[a, b + e_y]
+        moved = (matrix @ t[:, grow.T]).reshape(-1, len(grow))
+        # multiplying by u_x maps a to a + e_x: a sum over the positions of
+        # the new row's tuple, as in linear_products
+        t = moved[_lift(d, i + 1)].sum(axis=1) / (i + 1)
+        out.append(t[:, 0])
+    return out
 
 
 def superpose(P1: MultiObjectDensity, P2: MultiObjectDensity) -> MultiObjectDensity:

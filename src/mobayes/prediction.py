@@ -13,8 +13,9 @@ Its coefficients are the survivor tensors
 with move = M p_S and die = 1 - p_S, times the birth functional through one
 finite_pp.multiply. SurviveMoveBirth.propagate works on packed coefficients
 and never indexes their layout: finite_pp.derivatives gives the sums at
-base die, and a finite_pp.symmetric_power matrix per survivor count,
-built once per model, applies move^(x)j to them; this is the scenario path.
+base die, and finite_pp.substitute applies move^(x)j to every level by
+moving one factor at a time, so no matrix of a level's square size is
+built; this is the scenario path.
 
 predict runs any model with space, m_max and propagate; the explicit
 Chapman-Kolmogorov tables it is checked against (oracles.TransitionModel,
@@ -35,7 +36,7 @@ from .finite_pp import (
     _check_axes,
     derivatives,
     multiply,
-    symmetric_power,
+    substitute,
 )
 
 
@@ -76,7 +77,6 @@ class SurviveMoveBirth:
         self.birth = birth
         self.move = f * p_s  # move[x, y] = p_S(y) f(x|y)
         self.die = 1.0 - p_s
-        self._move_powers = [symmetric_power(self.move, j) for j in range(n_max + 1)]
 
     @property
     def m_max(self) -> int:
@@ -85,7 +85,7 @@ class SurviveMoveBirth:
     def propagate(self, posterior: MultiObjectDensity) -> MultiObjectDensity:
         """Survivor coefficients q_j times the birth functional, capped at n_max."""
         kept = derivatives(posterior.packed, self.die, posterior.n_max)
-        survivors = [S @ q for S, q in zip(self._move_powers, kept)]
+        survivors = substitute(kept, self.move)
         packed = multiply(survivors, self.birth.packed, self.n_max, self.space.size)
         return MultiObjectDensity._from_packed(self.space, packed)
 

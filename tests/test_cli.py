@@ -12,6 +12,8 @@ import math
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +233,44 @@ class TestLoadConfig:
         assert sc.transition.m_max == sc.n_max == 8
         records, failed = run(sc)
         assert failed is None and len(records) == 21
+
+    @pytest.mark.parametrize("d, n_max", [(10, 5), (20, 4)])
+    def test_wide_spaces_load_and_run_in_bounded_memory(self, d, n_max):
+        """Budget-valid configs on many states: a level holds C(d+n-1, n)
+        multisets, so nothing may grow with a level's square."""
+        rng = np.random.default_rng(d)
+        labels = [f"s{i}" for i in range(d)]
+        motion = rng.uniform(0.1, 1.0, (d, d))
+        likelihood = rng.uniform(0.1, 1.0, (d, d))
+        doc = base_config(
+            state_labels=labels,
+            obs_labels=labels,
+            n_max=n_max,
+            prior={"kind": "poisson", "intensity": [1.0 / d] * d},
+            kernel={
+                "kind": "detection",
+                "p_detect": [0.9] * d,
+                "likelihood": (likelihood / likelihood.sum(axis=1, keepdims=True)).tolist(),
+            },
+            clutter={"kind": "poisson", "intensity": [0.2 / d] * d, "n_max": 1},
+            transition={
+                "survival": [0.95] * d,
+                "motion": (motion / motion.sum(axis=0)).tolist(),
+                "birth": {"kind": "poisson", "intensity": [0.1 / d] * d, "n_max": 1},
+                "max_dropped": 1.0,
+            },
+        )
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            sc = load_config(doc)
+            records, failed = run(sc, measurement_sets=[labels[:1], labels[1:3]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failed is None and len(records) == 3
+        assert peak < 64 * 2**20
+        assert time.perf_counter() - start < 20.0
 
     def test_missing_transition_block(self):
         doc = base_config()

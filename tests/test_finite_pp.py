@@ -28,7 +28,9 @@ from mobayes import (
 )
 from mobayes.finite_pp import (
     MAX_TENSOR_AXES,
+    _level,
     _pack,
+    _locate,
     _unpack,
     contract,
     derivatives,
@@ -36,7 +38,7 @@ from mobayes.finite_pp import (
     linear_products,
     multiply,
     pairings,
-    symmetric_power,
+    substitute,
     symmetrize,
     symmetrize_axes,
 )
@@ -522,50 +524,65 @@ def random_symmetric(rng, d, n):
     return symmetrize(rng.normal(size=(d,) * n))
 
 
-# every (d, n) the packed kernels are checked on, against the dense oracles
-SIZES = [(d, n) for d in range(1, 5) for n in range(7)]
+# the largest cardinality the packed kernels are checked to on each space,
+# against the dense oracles: small spaces, and one wider than any level
+# checked on it, where a multiset holds fewer indices than the space
+TOP = {1: 6, 2: 6, 3: 6, 4: 6, 9: 3}
+SIZES = [(d, n) for d, top in TOP.items() for n in range(top + 1)]
 
 
 class TestPackedKernels:
-    """Packed coefficients and kernels against the dense tensors: d in 1..4,
-    cardinalities up to 6, relative gaps within 1e-13."""
+    """Packed coefficients and kernels against the dense tensors: d in 1..4
+    with cardinalities up to 6 and d = 9 up to 3, relative gaps within 1e-13."""
 
-    @pytest.mark.parametrize("d", range(1, 5))
+    @pytest.mark.parametrize("d, n", SIZES + [(30, 2), (200, 1)])
+    def test_layout_is_the_sorted_tuple_order(self, d, n):
+        tuples = _level(d, n).tuples
+        want = list(itertools.combinations_with_replacement(range(d), n))
+        assert tuples.tolist() == [list(t) for t in want]
+        np.testing.assert_array_equal(_locate(tuples, d), np.arange(len(want)))
+        orbit = [math.factorial(n) // math.prod(math.factorial(t.count(x)) for x in set(t)) for t in want]
+        np.testing.assert_array_equal(math.factorial(n) * _level(d, n).inv_fact, orbit)
+
+    @pytest.mark.parametrize("d", TOP)
     def test_pack_view_pack_round_trip_is_bitwise(self, d):
         rng = np.random.default_rng(200 + d)
-        P = random_density(rng, space(d), 6)
+        P = random_density(rng, space(d), TOP[d])
         again = MultiObjectDensity(P.space, P.tensors)
         for a, b in zip(P.packed, again.packed):
             np.testing.assert_array_equal(a, b)
-        for n in range(7):
+        for n in range(TOP[d] + 1):
             level = rng.normal(size=math.comb(d + n - 1, n))
             np.testing.assert_array_equal(_pack(_unpack(level, d, n), n, False), level)
 
-    @pytest.mark.parametrize("d", range(1, 5))
+    @pytest.mark.parametrize("d", TOP)
     def test_view_and_entry_read_the_orbit_value(self, d):
         rng = np.random.default_rng(210 + d)
-        dense = [np.asarray(rng.normal())] + [random_symmetric(rng, d, n) for n in range(1, 7)]
+        top = TOP[d]
+        dense = [np.asarray(rng.normal())] + [random_symmetric(rng, d, n) for n in range(1, top + 1)]
         P = MultiObjectDensity(space(d), dense)
         for n, t in enumerate(dense):
             np.testing.assert_array_equal(P.tensors[n], t)
             for tup in itertools.islice(itertools.product(range(d), repeat=n), 50):
                 assert P.entry(tup) == t[tup]
-        assert len(P.packed[6]) == math.comb(d + 5, 6)
+        assert len(P.packed[top]) == math.comb(d + top - 1, top)
         with pytest.raises(ValueError):
             P.tensors[2][(0,) * 2] = 1.0
 
-    @pytest.mark.parametrize("d", range(1, 5))
+    @pytest.mark.parametrize("d", TOP)
     def test_symmetrizing_constructor_packs_the_orbit_mean(self, d):
         rng = np.random.default_rng(220 + d)
-        raw = [rng.normal()] + [rng.normal(size=(d,) * n) for n in range(1, 7)]
+        raw = [rng.normal()] + [rng.normal(size=(d,) * n) for n in range(1, TOP[d] + 1)]
         P = MultiObjectDensity(space(d), raw, symmetrize_input=True)
-        for n in range(2, 7):
+        for n in range(2, TOP[d] + 1):
             np.testing.assert_array_equal(P.tensors[n], symmetrize(raw[n]))
 
     def test_multiply_matches_the_dense_product(self):
         rng = np.random.default_rng(230)
-        for d in range(1, 5):
+        for d in TOP:
             for n_p, n_r in itertools.product(range(4), repeat=2):
+                if n_p + n_r > TOP[d]:
+                    continue
                 p = [rng.normal()] + [random_symmetric(rng, d, n) for n in range(1, n_p + 1)]
                 r = [rng.normal()] + [random_symmetric(rng, d, n) for n in range(1, n_r + 1)]
                 pp = [_pack(np.asarray(t), n, False) for n, t in enumerate(p)]
@@ -588,14 +605,15 @@ class TestPackedKernels:
                     dense = np.multiply.outer(dense, u)
                 assert_close(_unpack(row, d, k), math.factorial(k) * symmetrize(dense))
 
-    @pytest.mark.parametrize("d", range(1, 5))
+    @pytest.mark.parametrize("d", TOP)
     def test_derivatives_and_pairings_match_contract(self, d):
         rng = np.random.default_rng(250 + d)
-        P = random_density(rng, space(d), 6)
+        top = TOP[d]
+        P = random_density(rng, space(d), top)
         base = rng.normal(size=d)
-        D = derivatives(P.packed, base, 7)
-        np.testing.assert_array_equal(D[7], np.zeros(math.comb(d + 6, 7)))
-        for k in range(7):
+        D = derivatives(P.packed, base, top + 1)
+        np.testing.assert_array_equal(D[top + 1], np.zeros(math.comb(d + top, top + 1)))
+        for k in range(top + 1):
             assert_close(_unpack(D[k], d, k), contract(P.tensors, [], base, free=k))
             vecs = rng.normal(size=(2, k, d))
             got = pairings(D[k], linear_products(vecs), d, k)
@@ -603,19 +621,21 @@ class TestPackedKernels:
             free = pairings(D[k + 1], linear_products(vecs), d, k, free=True)
             assert_close(free, [contract(P.tensors, list(v), base, free=1) for v in vecs])
 
-    def test_symmetric_power_applies_the_matrix_on_every_axis(self):
-        rng = np.random.default_rng(260)
-        for d, j in SIZES:
-            M = rng.normal(size=(d, d))
-            T = random_symmetric(rng, d, j) if j else np.asarray(rng.normal())
+    @pytest.mark.parametrize("d", TOP)
+    def test_substitute_applies_the_matrix_on_every_axis(self, d):
+        rng = np.random.default_rng(260 + d)
+        P = random_density(rng, space(d), TOP[d])
+        M = rng.normal(size=(d, d))
+        got = substitute(P.packed, M)
+        assert len(got) == TOP[d] + 1
+        for j, T in enumerate(P.tensors):
             want = T
             for _ in range(j):
                 # contract the leading axis with M's second index; x goes last
                 want = want.reshape(d, -1).T @ M.T
-            got = symmetric_power(M, j) @ _pack(T, j, False)
-            assert_close(_unpack(got, d, j), want.reshape((d,) * j))
+            assert_close(_unpack(got[j], d, j), want.reshape((d,) * j))
 
-    @pytest.mark.parametrize("d", range(1, 5))
+    @pytest.mark.parametrize("d", TOP)
     def test_reads_match_the_dense_formulas(self, d):
         rng = np.random.default_rng(270 + d)
         P = random_density(rng, space(d), 6).scaled(1.7)

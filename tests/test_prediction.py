@@ -264,6 +264,20 @@ class TestSurviveMoveBirth:
                     np.testing.assert_allclose(s, t, rtol=0, atol=1e-14)
                 assert got.truncation_mass == pytest.approx(want.truncation_mass, rel=0, abs=1e-14)
 
+    def test_wide_space_matches_the_tables(self):
+        """Ten states, more than any level's cardinality: the substitution
+        and the pair tables against the table oracle."""
+        rng = np.random.default_rng(112)
+        sp = space(10)
+        post = random_density(rng, sp, 3)
+        p_s, f, birth = random_dynamics(rng, sp, 1)
+        tables = build_multiplicative(p_s, f, birth, n_max=3, max_dropped=1.0)
+        want = predict(post, tables, max_dropped=1.0)
+        got = predict(post, SurviveMoveBirth(p_s, f, birth, n_max=3), max_dropped=1.0)
+        for s, t in zip(got.tensors, want.tensors):
+            np.testing.assert_allclose(s, t, rtol=0, atol=1e-14)
+        assert got.truncation_mass == pytest.approx(want.truncation_mass, rel=0, abs=1e-14)
+
     def test_never_symmetrizes(self, monkeypatch):
         """Survivor and birth coefficients are multiplied packed, so predict
         makes no orbit pass at all."""
