@@ -186,7 +186,7 @@ class _Level(NamedTuple):
     tuples: np.ndarray  # (m, n) sorted index tuples, in layout order
     parent: np.ndarray  # position at level n - 1 without the largest index
     last: np.ndarray  # the largest index of each multiset (0 at level 0)
-    first: np.ndarray  # position at level n + 1 of its extension by `last`
+    base: np.ndarray  # its extension by x sits at base + x in level n + 1
     run: np.ndarray  # how often the largest index occurs (0 at level 0)
     fact: np.ndarray  # alpha!, an exact integer in floats
     inv_fact: np.ndarray  # 1 / alpha!
@@ -202,9 +202,9 @@ def _level(d: int, n: int) -> _Level:
     run = np.where(last == prev.last[parent], prev.run[parent] + 1, 1)
     fact = prev.fact[parent] * run
     tuples = np.concatenate([prev.tuples[parent], last[:, None]], axis=1)
-    children = d - last
-    first = np.cumsum(children) - children
-    return _Level(tuples, parent, last, first, run, fact, 1.0 / fact)
+    # extensions by last..d-1 follow those of every earlier multiset
+    base = np.cumsum(d - last) - d
+    return _Level(tuples, parent, last, base, run, fact, 1.0 / fact)
 
 
 def _locate(tuples: np.ndarray, d: int) -> np.ndarray:
@@ -213,7 +213,7 @@ def _locate(tuples: np.ndarray, d: int) -> np.ndarray:
     pos = np.zeros(tuples.shape[:-1], dtype=np.intp)
     for k in range(tuples.shape[-1]):
         lv = _level(d, k)
-        pos = lv.first[pos] + tuples[..., k] - lv.last[pos]
+        pos = lv.base[pos] + tuples[..., k]
     return pos
 
 
@@ -233,10 +233,10 @@ def _shift(d: int, n: int) -> np.ndarray:
     """
     lv = _level(d, n)
     last = lv.last[:, None]
-    out = lv.first[:, None] + np.arange(d) - last
+    out = lv.base[:, None] + np.arange(d)
     if n:
         low = _shift(d, n - 1)[lv.parent]
-        out = np.where(np.arange(d) < last, lv.first[low] + last - lv.last[low], out)
+        out = np.where(np.arange(d) < last, lv.base[low] + last, out)
     return out
 
 
@@ -251,7 +251,7 @@ def _drop(d: int, n: int) -> np.ndarray:
         return lv.parent[:, None]
     below = _level(d, n - 2)
     cut = _drop(d, n - 1)[lv.parent]
-    inner = below.first[cut] + lv.last[:, None] - below.last[cut]
+    inner = below.base[cut] + lv.last[:, None]
     return np.concatenate([inner, lv.parent[:, None]], axis=1)
 
 
@@ -319,10 +319,10 @@ def _pairs(d: int, n: int, top: int) -> tuple[np.ndarray, ...]:
     ti = bi.copy()
     if n:
         grow = _grow(d, n - 1)
+        on, source, by = level[gi], start[bi] + parent[gi], last[gi]
         for k in range(1, n + 1):
-            at = np.nonzero(level[gi] == k)[0]
-            g = gi[at]
-            ti[at] = grow[ti[start[bi[at]] + parent[g]], last[g]]
+            at = np.nonzero(on == k)[0]
+            ti[at] = grow[ti[source[at]], by[at]]
     # exact integers, so the quotient is exact
     return bi, gi, ti, fact[ti] / (fact[bi] * fact[gi])
 
