@@ -319,10 +319,11 @@ def _pairs(d: int, n: int, top: int) -> tuple[np.ndarray, ...]:
     ti = bi.copy()
     if n:
         grow = _grow(d, n - 1)
-        on, source, by = level[gi], start[bi] + parent[gi], last[gi]
+        on = level[gi]
         for k in range(1, n + 1):
             at = np.nonzero(on == k)[0]
-            ti[at] = grow[ti[source[at]], by[at]]
+            g = gi[at]
+            ti[at] = grow[ti[start[bi[at]] + parent[g]], last[g]]
     # exact integers, so the quotient is exact
     return bi, gi, ti, fact[ti] / (fact[bi] * fact[gi])
 
