@@ -64,14 +64,15 @@ from .finite_pp import (
     MultiObjectDensity,
     PoissonSpec,
     _as_test_function,
+    _is_symmetric,
     _poisson_cap,
+    _symmetrized,
     derivatives,
     exp_coefficients,
     linear_products,
     multiply,
     pairings,
     symmetrize,  # unused here; bench/spans.py wraps mobayes.bayes.symmetrize
-    symmetrize_axes,
 )
 
 MeasurementSet = Sequence[str | int]
@@ -122,15 +123,10 @@ class ObservationKernel:
                 raise ValueError(f"table {m} has shape {arr.shape}, expected {want}")
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ValueError(f"table {m} must be finite and nonnegative")
-            if m >= 2:
-                if symmetrize_input:
-                    arr = symmetrize_axes(arr, [tuple(range(1, m + 1))])
-                else:
-                    for i in range(1, m):
-                        if not np.array_equal(arr, np.swapaxes(arr, i, i + 1)):
-                            raise ValueError(
-                                f"table {m} is not symmetric in its z axes"
-                            )
+            if symmetrize_input:
+                arr = _symmetrized(arr, m)
+            elif not _is_symmetric(arr, m):
+                raise ValueError(f"table {m} is not symmetric in its z axes")
             fixed.append(arr.copy())
         if not fixed:
             raise ValueError("at least the missed-detection table is required")

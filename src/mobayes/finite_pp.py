@@ -25,11 +25,11 @@ extensions), so none sorts and none grows with the square of a level.
 tensors/tensor(n) is a dense (d,)*n view, unpacked on first access and
 cached, for JSON I/O, sampling and the oracles; evaluate()
 and contract() work on it and stay separate from the engines. The
-constructor is the one place symmetry is enforced: symmetrize_input=True
-packs every array by orbit mean (the values symmetrize writes), and
-without it the arrays must be exactly symmetric. poisson() and the
-symmetrizing constructor refuse a cap past MAX_TENSOR_AXES, the most axes
-an array can have while symmetrize indexes it.
+constructor packs every array by orbit mean (symmetrize_input=True) or
+requires it exactly symmetric. Every orbit mean and symmetry check in the
+package, dense kernel tables included, is one routine over the index
+tables. poisson() and the symmetrizing constructor refuse a cap past
+MAX_TENSOR_AXES, the most axes a level can have beside one row axis.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ import numpy as np
 
 NORMALIZATION_TOL = 1e-10
 POISSON_N_MAX_CAP = 16
-# numpy arrays have at most 64 axes (32 before numpy 2), and symmetrizing an
-# n-axis tensor goes through an (n + 1)-axis index array.
+# numpy arrays have at most 64 axes (32 before numpy 2); the orbit pass and
+# the kernel and TensorMap tables put one row axis before a level's n axes.
 MAX_TENSOR_AXES = (64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32) - 1
 
 
@@ -98,40 +98,8 @@ class FiniteSpace:
         return np.full(self.size, float(value))
 
 
-def symmetrize_axes(arr: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """Average arr over permutations within each axis group.
-
-    The mean of every index orbit is computed once and written to all orbit
-    positions, so the output is exactly invariant under those permutations.
-    """
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim <= 1 or all(len(g) <= 1 for g in groups):
-        return arr.copy()
-    key, counts = _orbit_maps(arr.shape, tuple(tuple(g) for g in groups))
-    flat = arr.reshape(-1)
-    sums = np.bincount(key, weights=flat, minlength=flat.size)
-    return (sums[key] / counts).reshape(arr.shape)
-
-
-@functools.lru_cache(maxsize=128)
-def _orbit_maps(shape: tuple[int, ...], groups: tuple[tuple[int, ...], ...]):
-    """Canonical-position key and orbit size per entry, cached per layout.
-
-    key[i] is the flat position of entry i's orbit representative (indices
-    within each permutable axis group sorted); counts[i] is its orbit size.
-    """
-    idx = np.indices(shape).reshape(len(shape), -1)
-    for group in groups:
-        axes = list(group)
-        if len(axes) > 1:
-            idx[axes] = np.sort(idx[axes], axis=0)
-    key = np.ravel_multi_index(tuple(idx), shape)
-    counts = np.bincount(key, minlength=key.size)[key]
-    return key, counts
-
-
 def _check_axes(n_max: int) -> None:
-    """Refuse a cardinality cap whose top tensor symmetrize cannot index."""
+    """Refuse a cap whose top level, with one row axis, passes numpy's limit."""
     if n_max > MAX_TENSOR_AXES:
         raise ValueError(f"n_max={n_max} is over the limit of {MAX_TENSOR_AXES} tensor axes")
 
@@ -139,17 +107,13 @@ def _check_axes(n_max: int) -> None:
 def symmetrize(arr: np.ndarray) -> np.ndarray:
     """Symmetrize over all axes at once."""
     arr = np.asarray(arr, dtype=float)
-    return symmetrize_axes(arr, [tuple(range(arr.ndim))])
+    return _symmetrized(arr, arr.ndim)
 
 
 def is_symmetric(arr: np.ndarray) -> bool:
-    """Exact (bitwise) symmetry check via adjacent-transposition generators."""
-    for i in range(arr.ndim - 1):
-        axes = list(range(arr.ndim))
-        axes[i], axes[i + 1] = axes[i + 1], axes[i]
-        if not np.array_equal(arr, np.transpose(arr, axes)):
-            return False
-    return True
+    """Exact (bitwise) symmetry over all axes at once."""
+    arr = np.asarray(arr)
+    return arr.shape == arr.shape[:1] * arr.ndim and _is_symmetric(arr, arr.ndim)
 
 
 @dataclass(frozen=True)
@@ -336,19 +300,53 @@ def _dense_index(d: int, n: int) -> np.ndarray:
     return _shift(d, n - 1)[_dense_index(d, n - 1)].reshape(-1)
 
 
+def _rows(arr: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """arr as one row of d**n entries per index of its leading axes (a
+    kernel's states, a map's outputs), and d, the length of its trailing n
+    axes, over which the orbit routines below act."""
+    d = arr.shape[-1] if n else 1
+    if arr.shape[arr.ndim - n :] != (d,) * n:
+        raise ValueError(f"the trailing {n} axes of shape {arr.shape} differ in length")
+    return arr.reshape(-1, d**n), d
+
+
+def _orbit_mean(arr: np.ndarray, n: int) -> np.ndarray:
+    """Level n packed by orbit mean over arr's trailing n axes, one row per
+    leading index. Sums accumulate in dense order and are divided by the
+    exact orbit sizes n!/alpha!, so rows do not affect each other."""
+    rows, d = _rows(arr, n)
+    if n < 2:
+        return rows.copy()
+    orbit = np.rint(math.factorial(n) * _level(d, n).inv_fact)
+    key = _dense_index(d, n)
+    return np.stack([np.bincount(key, weights=row) for row in rows]) / orbit
+
+
+def _canonical(arr: np.ndarray, n: int) -> np.ndarray:
+    """Level n packed from the entries at the sorted index tuples of arr's
+    trailing n axes, one row per leading index."""
+    rows, d = _rows(arr, n)
+    return rows[:, _level(d, n).tuples @ d ** np.arange(n - 1, -1, -1)]
+
+
+def _is_symmetric(arr: np.ndarray, n: int) -> bool:
+    """Exact symmetry in the trailing n axes: each row equals the dense
+    expansion of its canonical entries."""
+    rows, d = _rows(arr, n)
+    return np.array_equal(_canonical(arr, n)[:, _dense_index(d, n)], rows)
+
+
+def _symmetrized(arr: np.ndarray, n: int) -> np.ndarray:
+    """arr with each entry replaced by its orbit mean over the last n axes,
+    in C order (a fancy-indexed gather over rows would not be)."""
+    d = arr.shape[-1] if n else 1
+    return np.take(_orbit_mean(arr, n), _dense_index(d, n), axis=1).reshape(arr.shape)
+
+
 def _pack(arr: np.ndarray, n: int, mean: bool) -> np.ndarray:
     """One packed level from a dense (d,)*n array: the orbit mean, or the
     entry at each sorted index tuple."""
-    flat = arr.reshape(-1)
-    if n < 2:
-        return flat.copy()
-    d = arr.shape[0]
-    if mean:
-        # the sums accumulate in dense order and are divided by the exact
-        # orbit sizes n!/alpha!, as symmetrize's are
-        orbit = np.rint(math.factorial(n) * _level(d, n).inv_fact)
-        return np.bincount(_dense_index(d, n), weights=flat) / orbit
-    return flat[_level(d, n).tuples @ d ** np.arange(n - 1, -1, -1)]
+    return (_orbit_mean if mean else _canonical)(arr, n)[0]
 
 
 def _unpack(entries: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -387,7 +385,7 @@ class MultiObjectDensity:
                 )
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"tensor {n} contains non-finite entries")
-            if n >= 2 and not symmetrize_input and not is_symmetric(arr):
+            if not symmetrize_input and not _is_symmetric(arr, n):
                 raise ValueError(f"tensor {n} is not symmetric")
             packed.append(_pack(arr, n, symmetrize_input))
         if not packed:
@@ -430,6 +428,8 @@ class MultiObjectDensity:
     def entry(self, points: Sequence[str | int]) -> float:
         """p_n(x_1..x_n) at one tuple of points, read from its packed level."""
         idx = np.sort(np.array(self.space.indices(points), dtype=np.intp))
+        if idx.size > self.n_max:
+            raise ValueError(f"tuple of length {idx.size} exceeds n_max={self.n_max}")
         return float(self.packed[idx.size][_locate(idx, self.space.size)])
 
     def total_mass(self) -> float:

@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .combinatorics import partitions, subsets
-from .finite_pp import FiniteSpace, MultiObjectDensity, _as_test_function
-from .finite_pp import contract, evaluate, symmetrize_axes
+from .finite_pp import FiniteSpace, MultiObjectDensity, _as_test_function, _symmetrized
+from .finite_pp import contract, evaluate
 
 MAX_NUMERIC_ORDER = 4
 MAX_PARTITION_ORDER = 6
@@ -114,7 +114,7 @@ class TensorMap:
             want = (space_out.size,) + (space_in.size,) * j
             if arr.shape != want:
                 raise ValueError(f"coefficient {j} has shape {arr.shape}, expected {want}")
-            arr = symmetrize_axes(arr, [tuple(range(1, j + 1))])
+            arr = _symmetrized(arr, j)
             fixed.append(np.ascontiguousarray(np.moveaxis(arr, 0, -1)))
         self.coefficients = fixed
 

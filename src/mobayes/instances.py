@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .bayes import ObservationKernel
-from .finite_pp import FiniteSpace, MultiObjectDensity, PoissonSpec, poisson, symmetrize
+from .finite_pp import FiniteSpace, MultiObjectDensity, PoissonSpec, _symmetrized, poisson, symmetrize
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -54,8 +54,7 @@ def random_kernel(
     tables: list[np.ndarray] = [split[:, 0]]
     for m in range(1, m_max + 1):
         raw = rng.uniform(0.1, 1.0, (d_x,) + (d_z,) * m)
-        if m >= 2:
-            raw = np.stack([symmetrize(raw[x]) for x in range(d_x)])
+        raw = _symmetrized(raw, m)
         mass = raw.reshape(d_x, -1).sum(axis=1) / math.factorial(m)
         tables.append(raw * (split[:, m] / mass).reshape((d_x,) + (1,) * m))
     return ObservationKernel(state_space, obs_space, tables)

@@ -261,13 +261,13 @@ class TestPartitionUpdate:
         kernel = random_kernel(rng, space(2), space(2, "z"), 2)
         clutter = random_poisson_clutter(rng, space(2, "z"))
         calls = []
-        original = mobayes.finite_pp.symmetrize_axes
+        original = mobayes.finite_pp._orbit_mean
 
-        def counted(arr, groups):
+        def counted(arr, n):
             calls.append(np.shape(arr))
-            return original(arr, groups)
+            return original(arr, n)
 
-        monkeypatch.setattr(mobayes.finite_pp, "symmetrize_axes", counted)
+        monkeypatch.setattr(mobayes.finite_pp, "_orbit_mean", counted)
         posterior_partition_clutter(prior, kernel, clutter, ["za", "zb", "za"])
         posterior_intensity_clutter(prior, kernel, clutter, ["za", "zb", "za"])
         assert calls == []

@@ -184,7 +184,8 @@ class TestLoadConfig:
 
     def test_explicit_prior_past_the_axis_limit_refused(self):
         """An explicit prior has no tensor budget, so the prediction cap
-        must refuse what the symmetrizing constructor cannot index."""
+        must refuse a level that, with one leading row axis beside it,
+        would pass numpy's axis limit."""
         tensors = [1.0, [0.0]]
         while len(tensors) <= 64:
             tensors.append([tensors[-1]])

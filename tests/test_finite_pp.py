@@ -28,9 +28,12 @@ from mobayes import (
 )
 from mobayes.finite_pp import (
     MAX_TENSOR_AXES,
+    _is_symmetric,
     _level,
-    _pack,
     _locate,
+    _orbit_mean,
+    _pack,
+    _symmetrized,
     _unpack,
     contract,
     derivatives,
@@ -40,7 +43,6 @@ from mobayes.finite_pp import (
     pairings,
     substitute,
     symmetrize,
-    symmetrize_axes,
 )
 from mobayes.functional_calculus import numeric_differential
 from mobayes.instances import random_density, space
@@ -95,13 +97,43 @@ class TestSymmetrize:
         np.testing.assert_allclose(symmetrize(s), s, atol=1e-15)
 
     def test_group_restricted_symmetrization(self):
-        """Averaging only over chosen axis groups leaves the rest alone."""
+        """Averaging over the trailing axes keeps each leading index a row
+        of its own."""
         rng = np.random.default_rng(9)
-        arr = rng.normal(size=(2, 3, 3, 2))
-        got = symmetrize_axes(arr, [(1, 2)])
-        np.testing.assert_allclose(got, 0.5 * (arr + arr.transpose(0, 2, 1, 3)), atol=1e-14)
-        # axis 0 and 3 have different lengths and stay untouched
-        np.testing.assert_allclose(got.sum(), arr.sum(), atol=1e-12)
+        arr = rng.normal(size=(2, 3, 3))
+        got = _symmetrized(arr, 2)
+        np.testing.assert_allclose(got, 0.5 * (arr + arr.transpose(0, 2, 1)), atol=1e-14)
+        # row sums taken later depend on the memory order
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got.sum(axis=(1, 2)), arr.sum(axis=(1, 2)), atol=1e-12)
+        packed = _orbit_mean(arr, 2)
+        assert packed.shape == (2, math.comb(3 + 1, 2))
+        for row, a in zip(packed, arr):
+            np.testing.assert_array_equal(row, _pack(a, 2, True))
+
+    @pytest.mark.parametrize("j", range(3))
+    def test_check_refuses_one_asymmetric_pair(self, j):
+        """Rows that every swap of adjacent trailing axes but one leaves
+        unchanged are refused."""
+        rng = np.random.default_rng(10)
+        arr = _symmetrized(rng.normal(size=(3,) + (2,) * 4), 4)
+        assert _is_symmetric(arr, 4)
+        # 0 up to trailing position j and 1 after it: only swapping j and
+        # j + 1 moves this tuple
+        bumped = arr.copy()
+        bumped[(2,) + (0,) * (j + 1) + (1,) * (3 - j)] += 1.0
+        for k in range(3):
+            assert np.array_equal(np.swapaxes(bumped, k + 1, k + 2), bumped) == (k != j)
+        assert not _is_symmetric(bumped, 4)
+        assert not is_symmetric(bumped[2])
+        assert is_symmetric(bumped[1])
+
+    @pytest.mark.parametrize("shape, n", [((4,), 1), ((), 0), ((3,), 0), ((3, 4), 1), ((2, 1, 1, 1), 3)])
+    def test_check_accepts_trivial_orbits(self, shape, n):
+        """Below two axes, or on one state, every orbit is one entry."""
+        arr = np.random.default_rng(11).normal(size=shape)
+        assert _is_symmetric(arr, n)
+        np.testing.assert_array_equal(_symmetrized(arr, n), arr)
 
 
 class TestMultiObjectDensity:
@@ -293,8 +325,10 @@ class TestJanossyAndMoment:
     def test_too_long_tuple_rejected(self):
         rng = np.random.default_rng(24)
         P = random_density(rng, space(2), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tuple of length 3 exceeds n_max=2"):
             janossy(P, ("a",) * 3)
+        with pytest.raises(ValueError, match="tuple of length 3 exceeds n_max=2"):
+            P.entry(("a", "a", "b"))
 
 
 class TestScalarProduct:

@@ -287,13 +287,13 @@ class TestSurviveMoveBirth:
         p_s, f, birth = random_dynamics(rng, sp, 2)
         model = SurviveMoveBirth(p_s, f, birth, n_max=4)
         calls = []
-        original = mobayes.finite_pp.symmetrize_axes
+        original = mobayes.finite_pp._orbit_mean
 
-        def counted(arr, groups):
+        def counted(arr, n):
             calls.append(np.shape(arr))
-            return original(arr, groups)
+            return original(arr, n)
 
-        monkeypatch.setattr(mobayes.finite_pp, "symmetrize_axes", counted)
+        monkeypatch.setattr(mobayes.finite_pp, "_orbit_mean", counted)
         predict(post, model, max_dropped=1.0)
         assert calls == []
 
