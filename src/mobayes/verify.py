@@ -7,12 +7,15 @@ at two points and measurement sets at three, sized to finish in seconds;
 instance counts. The power-series check, whose oracle is not brute force,
 reaches seven measurements (fast) and ten (full). Every update check calls
 the one partition-sum engine, posterior_partition_clutter, passing
-clutter=None where its instance has no clutter process.
+clutter=None where its instance has no clutter process. Those update
+checks draw their instances from one sampler, _update_instances, which
+takes the check's seed, its count, its clutter draw and its bounds on |Z|.
 
-Checks are independent, so they run on a thread pool sized to the CPUs
-this process may use, at most four. Seeds are fixed per check, results are
-aggregated as order-independent maxima, and the report is therefore
-identical run to run. A check that raises fails with error inf.
+run_checks runs the checks one after another in the order of CHECKS: they
+are Python-bound and hold the interpreter lock, so threads would not run
+them in parallel. Seeds are fixed per check, so the report is identical
+run to run apart from the timings. A check that raises fails with error
+inf.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,19 +85,34 @@ def _dims(level: str) -> tuple[int, int, int, int]:
     return (2, 2, 3, 3) if level == "fast" else (3, 3, 4, 4)
 
 
-def check_update_against_direct(level: str) -> tuple[float, str]:
+def _update_instances(level: str, seed: int, count: int, clutter=None, *, m_lo=0, m_top=None):
+    """Yield (rng, prior, kernel, clutter, Z) for `count` update instances.
+
+    Each instance draws n_max, m_max, the prior and the kernel, then
+    clutter(rng, obs_space, i) when a clutter draw is given (None
+    otherwise), then |Z| from m_lo up to the smaller of m_top (the level's
+    cap by default) and the most measurements the objects and the clutter
+    can emit, then Z. The rng is yielded so a check can draw more between
+    instances.
+    """
     d_x, d_z, n_cap, m_cap = _dims(level)
-    count = _sweep_sizes(level, 30, 80)
-    rng = np.random.default_rng(101)
+    rng = np.random.default_rng(seed)
     X, Zs = inst.space(d_x), inst.space(d_z, "z")
-    worst = 0.0
-    for _ in range(count):
+    for i in range(count):
         n_max = int(rng.integers(1, n_cap + 1))
         m_max = int(rng.integers(1, 3))
         prior = inst.random_density(rng, X, n_max)
         kernel = inst.random_kernel(rng, X, Zs, m_max)
-        m = int(rng.integers(0, min(m_cap, n_max * m_max) + 1))
-        Z = inst.random_measurements(rng, Zs, m)
+        noise = None if clutter is None else clutter(rng, Zs, i)
+        emitted = n_max * m_max + (0 if noise is None else noise.n_max)
+        m = int(rng.integers(m_lo, min(m_cap if m_top is None else m_top, emitted) + 1))
+        yield rng, prior, kernel, noise, inst.random_measurements(rng, Zs, m)
+
+
+def check_update_against_direct(level: str) -> tuple[float, str]:
+    count = _sweep_sizes(level, 30, 80)
+    worst = 0.0
+    for _, prior, kernel, _, Z in _update_instances(level, 101, count):
         a = posterior_partition_clutter(prior, kernel, None, Z)
         b = posterior_direct(prior, kernel, Z)
         worst = max(worst, _tensor_gap(a.density, b.density))
@@ -103,24 +120,21 @@ def check_update_against_direct(level: str) -> tuple[float, str]:
     return worst, f"{count} instances"
 
 
+def _alternating_clutter(explicit_top: int, poisson_cap: int):
+    """Explicit clutter of 1..explicit_top - 1 points on odd instances,
+    Poisson clutter capped at poisson_cap on even ones."""
+    return lambda rng, Zs, i: (
+        inst.random_clutter(rng, Zs, int(rng.integers(1, explicit_top)))
+        if i % 2
+        else inst.random_poisson_clutter(rng, Zs, n_max=poisson_cap)
+    )
+
+
 def check_clutter_update_against_direct(level: str) -> tuple[float, str]:
-    d_x, d_z, n_cap, m_cap = _dims(level)
     count = _sweep_sizes(level, 24, 60)
-    rng = np.random.default_rng(202)
-    X, Zs = inst.space(d_x), inst.space(d_z, "z")
     worst = 0.0
-    for i in range(count):
-        n_max = int(rng.integers(1, n_cap + 1))
-        m_max = int(rng.integers(1, 3))
-        prior = inst.random_density(rng, X, n_max)
-        kernel = inst.random_kernel(rng, X, Zs, m_max)
-        clutter = (
-            inst.random_clutter(rng, Zs, int(rng.integers(1, 3)))
-            if i % 2
-            else inst.random_poisson_clutter(rng, Zs, n_max=2)
-        )
-        m = int(rng.integers(0, min(m_cap, n_max * m_max + clutter.n_max) + 1))
-        Z = inst.random_measurements(rng, Zs, m)
+    instances = _update_instances(level, 202, count, _alternating_clutter(3, 2))
+    for _, prior, kernel, clutter, Z in instances:
         a = posterior_partition_clutter(prior, kernel, clutter, Z)
         b = posterior_direct(prior, kernel, Z, clutter)
         worst = max(worst, _tensor_gap(a.density, b.density))
@@ -130,24 +144,11 @@ def check_clutter_update_against_direct(level: str) -> tuple[float, str]:
 
 def check_update_against_power_series(level: str) -> tuple[float, str]:
     """The engine past the reach of brute force, against the power series."""
-    d_x, d_z, n_cap, _ = _dims(level)
     count = _sweep_sizes(level, 12, 30)
     m_top = 7 if level == "fast" else 10
-    rng = np.random.default_rng(1111)
-    X, Zs = inst.space(d_x), inst.space(d_z, "z")
     worst = 0.0
-    for i in range(count):
-        n_max = int(rng.integers(1, n_cap + 1))
-        m_max = int(rng.integers(1, 3))
-        prior = inst.random_density(rng, X, n_max)
-        kernel = inst.random_kernel(rng, X, Zs, m_max)
-        clutter = (
-            inst.random_clutter(rng, Zs, int(rng.integers(1, 4)))
-            if i % 2
-            else inst.random_poisson_clutter(rng, Zs, n_max=4)
-        )
-        m = int(rng.integers(0, min(m_top, n_max * m_max + clutter.n_max) + 1))
-        Z = inst.random_measurements(rng, Zs, m)
+    instances = _update_instances(level, 1111, count, _alternating_clutter(4, 4), m_top=m_top)
+    for _, prior, kernel, clutter, Z in instances:
         a = posterior_partition_clutter(prior, kernel, clutter, Z)
         b = posterior_power_series(prior, kernel, Z, clutter)
         worst = max(worst, _tensor_gap(a.density, b.density))
@@ -156,20 +157,12 @@ def check_update_against_power_series(level: str) -> tuple[float, str]:
 
 
 def check_intensity_three_ways(level: str) -> tuple[float, str]:
-    d_x, d_z, n_cap, m_cap = _dims(level)
     count = _sweep_sizes(level, 24, 60)
-    rng = np.random.default_rng(303)
-    X, Zs = inst.space(d_x), inst.space(d_z, "z")
     worst = 0.0
-    for i in range(count):
-        n_max = int(rng.integers(1, n_cap + 1))
-        m_max = int(rng.integers(1, 3))
-        prior = inst.random_density(rng, X, n_max)
-        kernel = inst.random_kernel(rng, X, Zs, m_max)
-        clutter = inst.random_clutter(rng, Zs, 2) if i % 2 else None
-        cap = n_max * m_max + (0 if clutter is None else clutter.n_max)
-        m = int(rng.integers(0, min(m_cap, cap) + 1))
-        Z = inst.random_measurements(rng, Zs, m)
+    instances = _update_instances(
+        level, 303, count, lambda rng, Zs, i: inst.random_clutter(rng, Zs, 2) if i % 2 else None
+    )
+    for _, prior, kernel, clutter, Z in instances:
         direct_sum = posterior_intensity_clutter(prior, kernel, clutter, Z)
         post = posterior_partition_clutter(prior, kernel, clutter, Z)
         brute = posterior_direct(prior, kernel, Z, clutter)
@@ -292,23 +285,16 @@ def check_product_and_recursion_rules(level: str) -> tuple[float, str]:
 
 
 def check_normalization_and_order(level: str) -> tuple[float, str]:
-    d_x, d_z, n_cap, m_cap = _dims(level)
     count = _sweep_sizes(level, 20, 50)
-    rng = np.random.default_rng(808)
-    X, Zs = inst.space(d_x), inst.space(d_z, "z")
     worst = 0.0
     bitwise_bad = 0
-    for i in range(count):
-        n_max = int(rng.integers(1, n_cap + 1))
-        m_max = int(rng.integers(1, 3))
-        prior = inst.random_density(rng, X, n_max)
-        kernel = inst.random_kernel(rng, X, Zs, m_max)
-        clutter = inst.random_clutter(rng, Zs, 2)
-        m = int(rng.integers(1, min(m_cap, n_max * m_max + clutter.n_max) + 1))
-        Z = inst.random_measurements(rng, Zs, m)
+    instances = _update_instances(
+        level, 808, count, lambda rng, Zs, i: inst.random_clutter(rng, Zs, 2), m_lo=1
+    )
+    for rng, prior, kernel, clutter, Z in instances:
         post = posterior_partition_clutter(prior, kernel, clutter, Z)
         worst = max(worst, abs(post.density.total_mass() - 1.0))
-        perm = [Z[j] for j in rng.permutation(m)]
+        perm = [Z[j] for j in rng.permutation(len(Z))]
         redo = posterior_partition_clutter(prior, kernel, clutter, perm)
         loose = posterior_partition_clutter(prior, kernel, clutter, Z, prune=False)
         for a, b, c in zip(post.density.packed, redo.density.packed, loose.density.packed):
@@ -420,33 +406,19 @@ CHECKS = [
 ]
 
 
-def max_workers() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(4, cpus)
-
-
 def run_checks(level: str = "fast") -> list[CheckResult]:
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
-
-    def one(entry) -> CheckResult:
-        name, tol, fn = entry
+    results = []
+    for name, tol, fn in CHECKS:
         start = time.perf_counter()
         try:
             err, detail = fn(level)
         except Exception as exc:  # a broken engine is a failed check, not a crash
             err, detail = math.inf, f"raised {type(exc).__name__}: {exc}"
         took = time.perf_counter() - start
-        return CheckResult(name, tol, err, err <= tol, detail, took)
-
-    workers = max_workers()
-    if workers == 1:
-        return [one(entry) for entry in CHECKS]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, CHECKS))
+        results.append(CheckResult(name, tol, err, err <= tol, detail, took))
+    return results
 
 
 def format_report(results: list[CheckResult]) -> str:

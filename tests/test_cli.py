@@ -671,6 +671,15 @@ class TestCommandLine:
         assert "checks passed" in out
         assert "FAIL" not in out
 
+    def test_verify_report_is_deterministic(self):
+        """Seeds are fixed per check, so two runs agree on every check's
+        name, worst error and detail, in the same order."""
+        first, second = verify.run_checks("fast"), verify.run_checks("fast")
+        assert [(r.name, r.max_error, r.detail) for r in first] == [
+            (r.name, r.max_error, r.detail) for r in second
+        ]
+        assert [r.name for r in first] == [name for name, _, _ in verify.CHECKS]
+
     def test_verify_reports_a_raising_check_as_failed(self, monkeypatch, capsys):
         def broken(level):
             raise TruncationOverflow("dropped 0.5 mass", 0.5)
