@@ -38,7 +38,10 @@ posterior_intensity_clutter evaluates the first factorial moment directly
 from the partition sum: each partition contributes an appended-increment
 term (one extra Dirac increment weighted by the missed-detection profile)
 plus one replaced-increment term per block (that block's increment
-localized at the query point). Poisson priors additionally get closed
+localized at the query point). It reads both kinds, summed over the terms
+of each block count, off the normalized block functional B that the
+posterior multiplies (the replaced ones by the product rule), so no term
+is evaluated on its own. Poisson priors additionally get closed
 forms in which every variation collapses to a product of scalars
 mu[P_block]; they share the signature enumeration, _block_functional and
 finite_pp.multiply with the engine, so they are not independent oracles.
@@ -311,8 +314,8 @@ def _signature_terms(counts: Counter, kernel: ObservationKernel):
 def _group_products(blocks, d: int) -> dict:
     """Terms grouped by block count, for every count up to the largest.
 
-    groups[k] = (positions of the terms with k blocks, their (terms, k, d)
-    block vectors, the packed level k of each term's prod_i v_i[h]).
+    groups[k] = (positions of the terms with k blocks, the packed level k
+    of each term's prod_i v_i[h]).
     """
     where: dict[int, list[int]] = {k: [] for k in range(max(map(len, blocks), default=0) + 1)}
     for i, vecs in enumerate(blocks):
@@ -320,7 +323,7 @@ def _group_products(blocks, d: int) -> dict:
     groups = {}
     for k, idx in where.items():
         vectors = np.array([blocks[i] for i in idx]).reshape(len(idx), k, d)
-        groups[k] = (np.array(idx, dtype=np.intp), vectors, linear_products(vectors))
+        groups[k] = (np.array(idx, dtype=np.intp), linear_products(vectors))
     return groups
 
 
@@ -332,26 +335,10 @@ def _block_functional(scales: np.ndarray, groups: dict) -> list[np.ndarray]:
     pruning skips, leave it bitwise unchanged.
     """
     out = []
-    for idx, _, products in groups.values():
+    for idx, products in groups.values():
         rows = scales[idx, None] * products
         out.append(np.add.accumulate(rows, axis=0)[-1] if len(rows) else rows.sum(axis=0))
     return out
-
-
-def _intensity_terms(D, p0, vectors, products) -> np.ndarray:
-    """Each term's contribution to the unnormalized intensity, one row per term.
-
-    Appended term: the (k+1)-th variation with one extra Dirac increment,
-    weighted pointwise by the missed-detection profile. Replaced terms: the
-    k-th variation with block i's increment localized at the query point and
-    weighted by that block's density there.
-    """
-    d, k = p0.size, vectors.shape[1]
-    total = p0 * pairings(D[k + 1], products, d, k, free=True)
-    for i in range(k):
-        others = linear_products(np.delete(vectors, i, axis=1))
-        total += vectors[:, i] * pairings(D[k], others, d, k - 1, free=True)
-    return total
 
 
 def _partition_engine(
@@ -361,8 +348,8 @@ def _partition_engine(
     clutter: MultiObjectDensity | None,
     prune: bool,
     spare: int = 0,
-) -> tuple[float, np.ndarray, dict, list[np.ndarray]]:
-    """Log evidence and the normalized terms of the partition-sum update.
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """Log evidence and the normalized block functional of the update.
 
     Each distinct signature within the caps (kernel.m_max when pruning,
     prior.n_max blocks, clutter.n_max clutter labels) is one term. Its
@@ -371,11 +358,11 @@ def _partition_engine(
     functional at the missed-detection profile with one increment per
     block. The evidence sum w * den is a log-sum-exp over log|w| + log|den|
     that carries each term's sign, so evidences far below the smallest
-    double do not underflow. Returns the log evidence, w / evidence per
-    term in sorted signature order, the terms grouped by block count
-    (_group_products), and the prior's variations D_0..D_(K + spare) at the
-    missed-detection profile, K the largest block count; a term whose
-    denominator is 0 is kept, since its numerator need not vanish.
+    double do not underflow. Returns the log evidence, the packed levels
+    B_0..B_K of sum over terms of (w / evidence) * prod_i v_i[h]
+    (_block_functional), K the largest block count, and the prior's
+    variations D_0..D_(K + spare) at the missed-detection profile; a term
+    whose denominator is 0 is kept, since its numerator need not vanish.
     """
     _check_update_spaces(prior, kernel, clutter)
     z_idx = tuple(kernel.obs_space.indices(Z))
@@ -399,7 +386,7 @@ def _partition_engine(
     groups = _group_products(blocks, d)
     D = derivatives(prior.packed, kernel.tables[0], len(groups) - 1 + spare)
     dens = np.zeros(len(blocks))
-    for k, (idx, _, products) in groups.items():
+    for k, (idx, products) in groups.items():
         dens[idx] = pairings(D[k], products, d, k)
     logs, signs = [], []  # log|weight * den| and its sign, for den != 0
     for weight, den in zip(weights, dens.tolist()):
@@ -414,7 +401,7 @@ def _partition_engine(
     scales = np.array(
         [math.copysign(math.exp(math.log(abs(w)) - log_evidence), w) for w in weights]
     )
-    return log_evidence, scales, groups, D
+    return log_evidence, _block_functional(scales, groups), D
 
 
 def posterior_partition_clutter(
@@ -434,9 +421,8 @@ def posterior_partition_clutter(
     density; posterior_intensity_clutter evaluates the same quantity from
     the partition sum directly.
     """
-    log_evidence, scales, groups, _ = _partition_engine(prior, kernel, Z, clutter, prune)
+    log_evidence, block, _ = _partition_engine(prior, kernel, Z, clutter, prune)
     n, d = prior.n_max, prior.space.size
-    block = _block_functional(scales, groups)
     likelihood = multiply(block, exp_coefficients(kernel.tables[0], n), n, d)
     packed = [c * f for c, f in zip(prior.packed, likelihood)]
     density = MultiObjectDensity._from_packed(prior.space, packed, prior.truncation_mass)
@@ -451,13 +437,24 @@ def posterior_intensity_clutter(
     *,
     prune: bool = True,
 ) -> np.ndarray:
-    """Posterior intensity under clutter, from the partition sum directly."""
+    """Posterior intensity under clutter, from the partition sum directly.
+
+    Level k of the block functional B contributes its appended terms,
+    p0(x) times D_(k+1) shifted by e_x and paired with B_k, and its
+    replaced terms. Those sum v_i(x) prod_(j != i) v_j[h] over the blocks
+    of each term: prod_j v_j[h] differentiated along e_x. So they pair
+    D_k * B_k, shifted by e_x, with every multiset of level k - 1.
+    """
     # the appended terms read one variation past the largest block count
-    _, scales, groups, D = _partition_engine(prior, kernel, Z, clutter, prune, spare=1)
+    _, block, D = _partition_engine(prior, kernel, Z, clutter, prune, spare=1)
     p0 = kernel.tables[0]
-    intensity = np.zeros(prior.space.size)
-    for idx, vectors, products in groups.values():
-        intensity += scales[idx] @ _intensity_terms(D, p0, vectors, products)
+    d = p0.size
+    intensity = np.zeros(d)
+    for k, level in enumerate(block):
+        intensity += p0 * pairings(D[k + 1], level[None], d, k, free=True)[0]
+        if k:
+            every = np.ones((1, block[k - 1].size))
+            intensity += pairings(D[k] * level, every, d, k - 1, free=True)[0]
     return intensity
 
 
