@@ -24,7 +24,8 @@ tables walk the levels as a tree (each multiset followed by its
 extensions), so none sorts and none grows with the square of a level.
 tensors/tensor(n) is a dense (d,)*n view, unpacked on first access and
 cached, for JSON I/O, sampling and the oracles; evaluate()
-and contract() work on it and stay separate from the engines. The
+and contract() work on it and stay separate from the engines. janossy()
+and moment() do not: they read G(0) and G(1) off the packed levels. The
 constructor packs every array by orbit mean (symmetrize_input=True) or
 requires it exactly symmetric. Every orbit mean and symmetry check in the
 package, dense kernel tables included, is one routine over the index
@@ -552,7 +553,7 @@ def janossy(P: MultiObjectDensity, points: Sequence[str | int]) -> float:
     cur = P
     for ix in idx:
         cur = differentiate(cur, ix)
-    return evaluate(cur, cur.space.constant(0.0))
+    return float(cur.packed[0][0])  # G(0) is the level-0 entry
 
 
 def moment(P: MultiObjectDensity, points: Sequence[str | int]) -> float:
@@ -560,7 +561,7 @@ def moment(P: MultiObjectDensity, points: Sequence[str | int]) -> float:
     cur = P
     for p in points:
         cur = differentiate(cur, p)
-    return evaluate(cur, cur.space.constant(1.0))
+    return cur.total_mass()  # G(1)
 
 
 def scalar_product(P1: MultiObjectDensity, P2: MultiObjectDensity) -> float:

@@ -3,8 +3,8 @@
 MultiObjectDensity.tensors unpacks packed levels through finite_pp._unpack.
 With that replaced by a function that raises, loading a config, running the
 filter on given measurement sets with outputs written, both partition-sum
-updates, predict and the Poisson closed form must all succeed: the engines
-read and write packed coefficients only.
+updates, predict, the Poisson closed form, janossy and moment must all
+succeed: they read and write packed coefficients only.
 """
 
 import json
@@ -17,7 +17,9 @@ from mobayes import (
     PoissonSpec,
     SurviveMoveBirth,
     bernoulli,
+    janossy,
     load_config,
+    moment,
     poisson,
     poisson_posterior,
     posterior_intensity_clutter,
@@ -66,3 +68,9 @@ def test_updates_predict_and_poisson_closed_form(fenced):
     assert predict(post.density, model, max_dropped=1.0).n_max == 4
     closed = poisson_posterior(PoissonSpec([0.3, 0.2, 0.1]), kernel, Z)
     assert closed.density.is_normalized()
+
+
+def test_janossy_and_moment(fenced):
+    P = random_density(np.random.default_rng(6), space(3), 4)
+    assert janossy(P, ["a", "c", "a"]) == P.entry(["a", "a", "c"])
+    assert 0.0 < moment(P, ["b", "b"])

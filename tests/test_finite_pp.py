@@ -322,6 +322,16 @@ class TestJanossyAndMoment:
                 brute += tup.count(x) * float(P.tensors[n][tup]) / math.factorial(n)
         assert moment(P, [x]) == pytest.approx(brute, abs=1e-12)
 
+    def test_deep_caps_answer_from_packed_levels(self):
+        """At d=3 and n_max=20 a dense view of level 17 holds 3**17 entries;
+        both functions must answer without one."""
+        mu = np.array([0.5, 0.3, 0.2])
+        P = poisson(PoissonSpec(mu), space(3), n_max=20)
+        assert janossy(P, ("a", "b", "a")) == pytest.approx(
+            math.exp(-1.0) * mu[0] * mu[1] * mu[0], abs=1e-15
+        )
+        assert moment(P, ("a", "c")) == pytest.approx(mu[0] * mu[2], abs=1e-12)
+
     def test_too_long_tuple_rejected(self):
         rng = np.random.default_rng(24)
         P = random_density(rng, space(2), 2)
