@@ -16,6 +16,7 @@ byte-identical too.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -101,12 +102,36 @@ def _integer(doc: dict, key: str, default: int, field: str | None = None) -> int
     return value
 
 
+def _plain_array(value: Any) -> np.ndarray | None:
+    """value as a float array if every entry is an int or a float and every
+    converted entry lies strictly inside the float range, else None.
+
+    The entries' types are read one nesting level at a time, and the range
+    is checked in one numpy pass; both run in C.
+    """
+    leaves = [value]
+    while set(map(type, leaves)) == {list}:
+        leaves = list(itertools.chain.from_iterable(leaves))
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    try:
+        arr = np.asarray(value, dtype=float)
+    except OverflowError:  # an int past the float range
+        return None
+    return arr if np.all(np.abs(arr) < sys.float_info.max) else None
+
+
 def _numbers(value: Any, field: str, *, scalar: bool = False) -> Any:
     """value as a float array (a float when scalar), else ConfigError.
 
     Every entry, at any nesting depth, must be a finite JSON number: no
-    bools, strings or nulls.
+    bools, strings or nulls. Arrays that _plain_array accepts skip the walk
+    below, which finds the entry to name in the error.
     """
+    if not scalar:
+        arr = _plain_array(value)
+        if arr is not None:
+            return arr
     pending = [value]
     while pending:
         v = pending.pop()

@@ -50,6 +50,32 @@ def base_config(**overrides):
     return doc
 
 
+def wide_config(d, n_max):
+    """A budget-valid config on d states, with random dense matrices."""
+    rng = np.random.default_rng(d)
+    labels = [f"s{i}" for i in range(d)]
+    motion = rng.uniform(0.1, 1.0, (d, d))
+    likelihood = rng.uniform(0.1, 1.0, (d, d))
+    return base_config(
+        state_labels=labels,
+        obs_labels=labels,
+        n_max=n_max,
+        prior={"kind": "poisson", "intensity": [1.0 / d] * d},
+        kernel={
+            "kind": "detection",
+            "p_detect": [0.9] * d,
+            "likelihood": (likelihood / likelihood.sum(axis=1, keepdims=True)).tolist(),
+        },
+        clutter={"kind": "poisson", "intensity": [0.2 / d] * d, "n_max": 1},
+        transition={
+            "survival": [0.95] * d,
+            "motion": (motion / motion.sum(axis=0)).tolist(),
+            "birth": {"kind": "poisson", "intensity": [0.1 / d] * d, "n_max": 1},
+            "max_dropped": 1.0,
+        },
+    )
+
+
 class TestLoadConfig:
     def test_happy_path(self):
         sc = load_config(base_config())
@@ -152,6 +178,7 @@ class TestLoadConfig:
             ("transition.survival", [True, 0.5]),
             ("transition.motion", [[True, 0.2], [False, 0.8]]),
             ("prior.symmetrize", "false"),
+            ("transition.survival", [10**400, 0.5]),
         ],
     )
     def test_no_coercion_of_arrays_and_flags(self, field, value):
@@ -239,28 +266,8 @@ class TestLoadConfig:
     def test_wide_spaces_load_and_run_in_bounded_memory(self, d, n_max):
         """Budget-valid configs on many states: a level holds C(d+n-1, n)
         multisets, so nothing may grow with a level's square."""
-        rng = np.random.default_rng(d)
-        labels = [f"s{i}" for i in range(d)]
-        motion = rng.uniform(0.1, 1.0, (d, d))
-        likelihood = rng.uniform(0.1, 1.0, (d, d))
-        doc = base_config(
-            state_labels=labels,
-            obs_labels=labels,
-            n_max=n_max,
-            prior={"kind": "poisson", "intensity": [1.0 / d] * d},
-            kernel={
-                "kind": "detection",
-                "p_detect": [0.9] * d,
-                "likelihood": (likelihood / likelihood.sum(axis=1, keepdims=True)).tolist(),
-            },
-            clutter={"kind": "poisson", "intensity": [0.2 / d] * d, "n_max": 1},
-            transition={
-                "survival": [0.95] * d,
-                "motion": (motion / motion.sum(axis=0)).tolist(),
-                "birth": {"kind": "poisson", "intensity": [0.1 / d] * d, "n_max": 1},
-                "max_dropped": 1.0,
-            },
-        )
+        doc = wide_config(d, n_max)
+        labels = doc["state_labels"]
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -272,6 +279,24 @@ class TestLoadConfig:
         assert failed is None and len(records) == 3
         assert peak < 64 * 2**20
         assert time.perf_counter() - start < 20.0
+
+    def test_many_state_config_loads_within_a_second(self):
+        """729 states at n_max 2, the largest budget-valid space: two
+        729x729 matrices, about a million numbers to check."""
+        doc = wide_config(729, 2)
+        start = time.perf_counter()
+        sc = load_config(doc)
+        assert time.perf_counter() - start < 1.0
+        assert sc.state_space.size == 729 and sc.prior.is_normalized()
+
+    @pytest.mark.parametrize(
+        "motion", [[[0.9, 0.2], [0.1]], [[0.9, 0.2], 0.1]], ids=["length", "depth"]
+    )
+    def test_ragged_arrays_raise_config_error(self, motion):
+        doc = base_config()
+        doc["transition"]["motion"] = motion
+        with pytest.raises(ConfigError, match="transition"):
+            load_config(doc)
 
     def test_missing_transition_block(self):
         doc = base_config()
