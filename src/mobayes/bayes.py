@@ -34,6 +34,17 @@ the clutter cap are never entered. Terms are accumulated in sorted
 signature order, which makes results bitwise invariant under reordering of
 Z; the set-partition walk survives as a counting oracle in mobayes.oracles.
 
+Nothing in that walk reads a value: it sees only the label counts n of Z
+in sorted-label order and the caps. So _plan runs it once per such pattern
+over label positions and caches the result as numpy arrays, the update
+plan: each term's count, clutter part and block count, its block contents
+grouped by block count, and the distinct contents and clutter parts. An
+update maps positions to its labels, a monotone map that keeps the sorted
+order and so the summation order, reads one group vector per distinct
+content and the clutter density of each distinct part, and gathers the
+terms' vectors for finite_pp.linear_products; measurement sets that differ
+only in their labels share one plan.
+
 posterior_intensity_clutter evaluates the first factorial moment directly
 from the partition sum: each partition contributes an appended-increment
 term (one extra Dirac increment weighted by the missed-detection profile)
@@ -49,11 +60,13 @@ finite_pp.multiply with the engine, so they are not independent oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import groupby
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -198,12 +211,6 @@ def _check_update_spaces(prior, kernel, clutter) -> None:
         raise ValueError("clutter process must live on the observation space")
 
 
-def _clutter_value(clutter: MultiObjectDensity | None, group: tuple[int, ...]) -> float:
-    if clutter is None:
-        return 1.0 if not group else 0.0
-    return clutter.entry(group)
-
-
 def _sub_multisets(labels, counts, room: int):
     """Every sub-multiset of at most `room` labels, by bounded extension.
 
@@ -298,32 +305,116 @@ def _signature_counts(
     return counts
 
 
-def _signature_terms(counts: Counter, kernel: ObservationKernel):
-    """(count, clutter part, block vectors) per signature, in sorted order.
+class _Plan(NamedTuple):
+    """The partition terms of one measurement pattern, in sorted signature
+    order, with labels replaced by their positions 0..len(n) - 1."""
 
-    Blocks with equal contents share one group vector.
+    counts: np.ndarray  # the set partitions each term stands for, as floats
+    clutter: np.ndarray  # each term's clutter-part id
+    blocks: np.ndarray  # each term's block count
+    groups: tuple  # per block count k: (its terms, their (terms, k) content ids)
+    contents: tuple  # the distinct block contents, one (count, size) array per size
+    parts: tuple  # the distinct clutter parts, one (count, size) array per size
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _by_size(tuples: set) -> tuple[dict, tuple[np.ndarray, ...]]:
+    """Ids of distinct position tuples, numbered by size and then in sorted
+    order, and the tuples as one (count, size) array per size present."""
+    ordered = sorted(tuples, key=lambda t: (len(t), t))
+    arrays = []
+    for size, rows in groupby(ordered, key=len):
+        rows = list(rows)
+        arrays.append(_frozen(np.array(rows, dtype=np.intp).reshape(len(rows), size)))
+    return {t: i for i, t in enumerate(ordered)}, tuple(arrays)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(
+    n: tuple[int, ...],
+    m_cap: int | None,
+    with_clutter: bool,
+    max_blocks: int | None,
+    max_clutter: int | None,
+) -> _Plan:
+    """The update's terms for every measurement set with label counts n.
+
+    Runs _signature_counts once over positions, position i standing for the
+    i-th smallest label, n[i] times. Mapping positions to labels is
+    monotone, so it keeps the sorted signature order, and a term's count
+    depends on n alone; only numpy arrays are kept.
     """
-    vectors: dict[tuple[int, ...], np.ndarray] = {}
-    for (dropped, blocks), cnt in sorted(counts.items()):
-        for content in blocks:
-            if content not in vectors:
-                vectors[content] = kernel.group_vector(content)
-        yield cnt, dropped, [vectors[content] for content in blocks]
+    z = tuple(i for i, c in enumerate(n) for _ in range(c))
+    terms = sorted(
+        _signature_counts(
+            z, m_cap, with_clutter, max_blocks=max_blocks, max_clutter=max_clutter
+        ).items()
+    )
+    part_id, parts = _by_size({dropped for (dropped, _), _ in terms})
+    content_id, contents = _by_size({c for (_, blocks), _ in terms for c in blocks})
+    top = max((len(blocks) for (_, blocks), _ in terms), default=0)
+    where: list[list[int]] = [[] for _ in range(top + 1)]
+    ids: list[list[list[int]]] = [[] for _ in range(top + 1)]
+    for t, ((_, blocks), _) in enumerate(terms):
+        where[len(blocks)].append(t)
+        ids[len(blocks)].append([content_id[c] for c in blocks])
+    groups = tuple(
+        (
+            _frozen(np.array(w, dtype=np.intp)),
+            _frozen(np.array(b, dtype=np.intp).reshape(len(w), k)),
+        )
+        for k, (w, b) in enumerate(zip(where, ids))
+    )
+    return _Plan(
+        _frozen(np.array([float(cnt) for _, cnt in terms])),
+        _frozen(np.array([part_id[dropped] for (dropped, _), _ in terms], dtype=np.intp)),
+        _frozen(np.array([len(blocks) for (_, blocks), _ in terms], dtype=np.intp)),
+        groups,
+        contents,
+        parts,
+    )
 
 
-def _group_products(blocks, d: int) -> dict:
-    """Terms grouped by block count, for every count up to the largest.
+def _pattern(kernel: ObservationKernel, Z: MeasurementSet) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Z's distinct observation indices, sorted, and how often each occurs:
+    the map from plan positions to labels, and the plan's key n."""
+    tally = Counter(kernel.obs_space.indices(Z))
+    labels = sorted(tally)
+    return np.array(labels, dtype=np.intp), tuple(tally[z] for z in labels)
 
-    groups[k] = (positions of the terms with k blocks, the packed level k
-    of each term's prod_i v_i[h]).
+
+def _group_vectors(plan: _Plan, labels: np.ndarray, kernel: ObservationKernel) -> list:
+    """The group vector of each distinct block content, in id order."""
+    return [kernel.group_vector(tuple(row)) for rows in plan.contents for row in labels[rows]]
+
+
+def _clutter_values(
+    plan: _Plan, labels: np.ndarray, clutter: MultiObjectDensity | None
+) -> np.ndarray:
+    """The clutter density at each distinct clutter part, in id order."""
+    if clutter is None:  # the one clutter part is empty
+        return np.ones(1)
+    values = [clutter.entries(labels[rows]) for rows in plan.parts]
+    return np.concatenate(values) if values else np.zeros(0)
+
+
+def _kept_products(plan: _Plan, vectors: np.ndarray, keep: np.ndarray) -> dict:
+    """The kept terms by block count, for every count up to the largest kept.
+
+    vectors stacks one group vector per content id. groups[k] = (positions
+    among the kept terms of those with k blocks, the packed level k of each
+    one's prod_i v_i[h]).
     """
-    where: dict[int, list[int]] = {k: [] for k in range(max(map(len, blocks), default=0) + 1)}
-    for i, vecs in enumerate(blocks):
-        where[len(vecs)].append(i)
+    where = np.cumsum(keep) - 1
     groups = {}
-    for k, idx in where.items():
-        vectors = np.array([blocks[i] for i in idx]).reshape(len(idx), k, d)
-        groups[k] = (np.array(idx, dtype=np.intp), linear_products(vectors))
+    for k in range(int(plan.blocks[keep].max(initial=0)) + 1):
+        terms, ids = plan.groups[k]
+        sel = keep[terms]
+        groups[k] = (where[terms[sel]], linear_products(vectors[ids[sel]]))
     return groups
 
 
@@ -365,27 +456,22 @@ def _partition_engine(
     whose denominator is 0 is kept, since its numerator need not vanish.
     """
     _check_update_spaces(prior, kernel, clutter)
-    z_idx = tuple(kernel.obs_space.indices(Z))
-    counts = _signature_counts(
-        z_idx,
+    labels, n = _pattern(kernel, Z)
+    plan = _plan(
+        n,
         kernel.m_max if prune else None,
         clutter is not None,
-        max_blocks=prior.n_max,
-        max_clutter=None if clutter is None else clutter.n_max,
+        prior.n_max,
+        None if clutter is None else clutter.n_max,
     )
-    clutter_values: dict[tuple[int, ...], float] = {}
-    weights, blocks = [], []
-    for cnt, dropped, vecs in _signature_terms(counts, kernel):
-        if dropped not in clutter_values:
-            clutter_values[dropped] = _clutter_value(clutter, dropped)
-        weight = cnt * clutter_values[dropped]
-        if weight != 0.0:
-            weights.append(weight)
-            blocks.append(vecs)
+    weights = plan.counts * _clutter_values(plan, labels, clutter)[plan.clutter]
+    keep = weights != 0.0
+    vectors = _group_vectors(plan, labels, kernel)
     d = prior.space.size
-    groups = _group_products(blocks, d)
+    groups = _kept_products(plan, np.array(vectors).reshape(len(vectors), d), keep)
+    weights = weights[keep].tolist()
     D = derivatives(prior.packed, kernel.tables[0], len(groups) - 1 + spare)
-    dens = np.zeros(len(blocks))
+    dens = np.zeros(len(weights))
     for k, (idx, products) in groups.items():
         dens[idx] = pairings(D[k], products, d, k)
     logs, signs = [], []  # log|weight * den| and its sign, for den != 0
@@ -464,16 +550,14 @@ def posterior_intensity_clutter(
 
 
 def _poisson_terms(mu, kernel, Z, prune: bool):
-    """Sorted signature terms (count, block vectors, scalars mu[P_block])."""
-    z_idx = tuple(kernel.obs_space.indices(Z))
-    counts = _signature_counts(z_idx, kernel.m_max if prune else None, with_clutter=False)
-    return [
-        (float(cnt), vecs, [float(mu @ v) for v in vecs])
-        for cnt, _, vecs in _signature_terms(counts, kernel)
-    ]
+    """Z's plan without clutter, its group vectors and the scalars mu[v]."""
+    labels, n = _pattern(kernel, Z)
+    plan = _plan(n, kernel.m_max if prune else None, False, None, None)
+    vectors = _group_vectors(plan, labels, kernel)
+    return plan, vectors, [float(mu @ v) for v in vectors]
 
 
-def _poisson_intensity(mu, p0, terms, Z) -> tuple[np.ndarray, float]:
+def _poisson_intensity(mu, p0, plan, vectors, scalars, Z) -> tuple[np.ndarray, float]:
     """Closed-form posterior intensity and the partition sum it divides by.
 
     M_1(x) = mu(x) * sum over partitions of
@@ -481,14 +565,19 @@ def _poisson_intensity(mu, p0, terms, Z) -> tuple[np.ndarray, float]:
     normalized by the partition sum of plain products. The replaced factor is
     expanded without dividing by mu[P_i] so zero-mass blocks stay harmless.
     """
+    contents: list = [None] * len(plan.counts)  # each term's content ids
+    for terms, ids in plan.groups:
+        for t, row in zip(terms.tolist(), ids.tolist()):
+            contents[t] = row
     den = 0.0
     acc = np.zeros(mu.size)
-    for cnt, vecs, scalars in terms:
-        prod_all = math.prod(scalars)
+    for cnt, row in zip(plan.counts.tolist(), contents):
+        factors = [scalars[j] for j in row]
+        prod_all = math.prod(factors)
         den += cnt * prod_all
         bracket = prod_all * p0
-        for i, v in enumerate(vecs):
-            bracket = bracket + math.prod(scalars[:i] + scalars[i + 1 :]) * v
+        for i, j in enumerate(row):
+            bracket = bracket + math.prod(factors[:i] + factors[i + 1 :]) * vectors[j]
         acc += cnt * bracket
     if not den > 0.0:
         raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
@@ -517,14 +606,14 @@ def poisson_posterior(
     mu = _as_test_function(kernel.state_space, spec.intensity)
     n_max = _poisson_cap(spec, float(mu.sum()), n_max)
     p0 = kernel.tables[0]
-    terms = _poisson_terms(mu, kernel, Z, prune)
-    intensity, partition_total = _poisson_intensity(mu, p0, terms, Z)
+    plan, vectors, scalars = _poisson_terms(mu, kernel, Z, prune)
+    intensity, partition_total = _poisson_intensity(mu, p0, plan, vectors, scalars, Z)
     d = kernel.state_space.size
     nu = mu * p0
     scale = math.exp(-float(nu.sum())) / partition_total
-    kept = [(cnt * scale, [mu * v for v in vs]) for cnt, vs, _ in terms if len(vs) <= n_max]
-    groups = _group_products([vs for _, vs in kept], d)
-    block = _block_functional(np.array([s for s, _ in kept]), groups)
+    keep = plan.blocks <= n_max
+    groups = _kept_products(plan, mu * np.array(vectors).reshape(len(vectors), d), keep)
+    block = _block_functional(plan.counts[keep] * scale, groups)
     packed = multiply(block, exp_coefficients(nu, n_max), n_max, d)
     density = MultiObjectDensity._from_packed(kernel.state_space, packed)
     density.truncation_mass = max(0.0, 1.0 - density.total_mass())
@@ -547,5 +636,5 @@ def poisson_posterior_intensity(
     if not isinstance(spec, PoissonSpec):
         spec = PoissonSpec(np.asarray(spec, dtype=float))
     mu = _as_test_function(kernel.state_space, spec.intensity)
-    terms = _poisson_terms(mu, kernel, Z, prune)
-    return _poisson_intensity(mu, kernel.tables[0], terms, Z)[0]
+    plan, vectors, scalars = _poisson_terms(mu, kernel, Z, prune)
+    return _poisson_intensity(mu, kernel.tables[0], plan, vectors, scalars, Z)[0]

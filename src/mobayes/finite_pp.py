@@ -428,10 +428,21 @@ class MultiObjectDensity:
 
     def entry(self, points: Sequence[str | int]) -> float:
         """p_n(x_1..x_n) at one tuple of points, read from its packed level."""
-        idx = np.sort(np.array(self.space.indices(points), dtype=np.intp))
-        if idx.size > self.n_max:
-            raise ValueError(f"tuple of length {idx.size} exceeds n_max={self.n_max}")
-        return float(self.packed[idx.size][_locate(idx, self.space.size)])
+        return float(self.entries([self.space.indices(points)])[0])
+
+    def entries(self, idx: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+        """p_n at each row of a (count, n) array of state indices.
+
+        A row's indices may come in any order; all rows are read from
+        packed level n in one gather.
+        """
+        idx = np.sort(np.asarray(idx, dtype=np.intp), axis=1)
+        n = idx.shape[1]
+        if n > self.n_max:
+            raise ValueError(f"tuple of length {n} exceeds n_max={self.n_max}")
+        if idx.size and (idx[:, 0].min() < 0 or idx[:, -1].max() >= self.space.size):
+            raise KeyError(f"index outside space of size {self.space.size}")
+        return self.packed[n][_locate(idx, self.space.size)]
 
     def total_mass(self) -> float:
         """G(1), read off the cardinality distribution; evaluate() is the oracle."""

@@ -7,10 +7,12 @@ is trusted as the ground truth everywhere; the sweeps here stay small
 because the full randomized load lives in test_acceptance and `verify`.
 """
 
+import gc
 import itertools
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +319,97 @@ class TestPartitionUpdate:
         assert abs(post.density.total_mass() - 1.0) < 1e-10
 
 
+def assert_same_posterior(a, b) -> None:
+    """Bitwise equality of packed levels, intensity and log evidence."""
+    assert len(a.density.packed) == len(b.density.packed)
+    for s, t in zip(a.density.packed, b.density.packed):
+        assert s.tobytes() == t.tobytes()
+    assert a.intensity.tobytes() == b.intensity.tobytes()
+    assert a.log_evidence == b.log_evidence
+
+
+class TestUpdatePlan:
+    """The signature walk is cached per label-count pattern (bayes._plan);
+    a plan built for one measurement set must serve every other set with
+    the same pattern, and nothing may depend on whether it was warm."""
+
+    @pytest.mark.parametrize("clutter_kind", ["none", "explicit", "poisson"])
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_warm_plan_changes_nothing(self, clutter_kind, prune):
+        rng = np.random.default_rng(95)
+        X, Zs = space(2), space(3, "z")
+        prior = random_density(rng, X, 3)
+        kernel = random_kernel(rng, X, Zs, 2)
+        clutter = {
+            "none": None,
+            "explicit": random_clutter(rng, Zs, 2),
+            "poisson": random_poisson_clutter(rng, Zs, n_max=3),
+        }[clutter_kind]
+        first, relabeled = ["za", "zb", "za"], ["zb", "zc", "zb"]
+
+        def update(Z):
+            post = posterior_partition_clutter(prior, kernel, clutter, Z, prune=prune)
+            moment = posterior_intensity_clutter(prior, kernel, clutter, Z, prune=prune)
+            return post, moment
+
+        mobayes.bayes._plan.cache_clear()
+        cold, cold_moment = update(relabeled)
+        mobayes.bayes._plan.cache_clear()
+        update(first)
+        misses = mobayes.bayes._plan.cache_info().misses
+        warm, warm_moment = update(relabeled)
+        assert mobayes.bayes._plan.cache_info().misses == misses
+        assert_same_posterior(cold, warm)
+        assert cold_moment.tobytes() == warm_moment.tobytes()
+
+    def test_prior_caps_key_the_plan(self):
+        """Priors with different n_max cap the block count differently, so
+        they must not share a plan."""
+        rng = np.random.default_rng(96)
+        X, Zs = space(2), space(2, "z")
+        kernel = random_kernel(rng, X, Zs, 1)
+        clutter = random_poisson_clutter(rng, Zs, n_max=3)
+        small, large = random_density(rng, X, 2), random_density(rng, X, 4)
+        Z = ["za", "zb", "za"]
+        mobayes.bayes._plan.cache_clear()
+        cold = posterior_partition_clutter(small, kernel, clutter, Z)
+        mobayes.bayes._plan.cache_clear()
+        posterior_partition_clutter(large, kernel, clutter, Z)
+        warm = posterior_partition_clutter(small, kernel, clutter, Z)
+        assert mobayes.bayes._plan.cache_info().currsize == 2
+        assert_same_posterior(cold, warm)
+
+    def test_large_pattern_plan_holds_arrays_only(self):
+        """Eight distinct labels, two per object, up to six objects and six
+        clutter points: 7,147 terms, about 0.46 MB of plan arrays. The plan
+        that stays cached must stay below the 1.2 MiB the walk's own tuples
+        take, and the warm update must equal the cold one bitwise."""
+        rng = np.random.default_rng(97)
+        X, Zs = space(3), space(8, "z")
+        prior = random_density(rng, X, 6)
+        kernel = random_kernel(rng, X, Zs, 2)
+        clutter = random_poisson_clutter(rng, Zs, n_max=6)
+        Z = list(Zs.labels)
+        posterior_partition_clutter(prior, kernel, clutter, Z)  # warms the layouts
+        mobayes.bayes._plan.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cold = posterior_partition_clutter(prior, kernel, clutter, Z)
+            gc.collect()
+            kept, cold_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            warm = posterior_partition_clutter(prior, kernel, clutter, Z)
+            warm_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plan = mobayes.bayes._plan((1,) * 8, 2, True, 6, 6)
+        assert len(plan.counts) == 7147
+        assert kept < 2**20
+        assert cold_peak < 16 * 2**20 and warm_peak < 16 * 2**20
+        assert_same_posterior(cold, warm)
+
+
 class TestPowerSeriesOracle:
     """The joint functional's power-series coefficients, with no partitions."""
 
@@ -483,8 +576,10 @@ class TestPoissonClosedForms:
         )
 
     def test_one_signature_pass_per_update(self, monkeypatch):
+        """A cold update walks the signatures once; a measurement set with
+        the same label counts in sorted-label order reuses the plan."""
         rng = np.random.default_rng(92)
-        lam, spec, kernel = self._instance(rng)
+        lam, spec, kernel = self._instance(rng, d_z=3)
         calls = []
         original = mobayes.bayes._signature_counts
 
@@ -493,8 +588,13 @@ class TestPoissonClosedForms:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mobayes.bayes, "_signature_counts", counted)
+        mobayes.bayes._plan.cache_clear()
         poisson_posterior(spec, kernel, ["za", "zb", "za"])
         assert len(calls) == 1
+        poisson_posterior(spec, kernel, ["zb", "zc", "zb"])  # counts (2, 1) again
+        assert len(calls) == 1
+        poisson_posterior(spec, kernel, ["zc", "zb", "zc"])  # counts (1, 2)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("n_max", [-1, mobayes.finite_pp.MAX_TENSOR_AXES + 1])
     def test_refuses_the_caps_poisson_refuses(self, n_max):

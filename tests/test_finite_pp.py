@@ -339,6 +339,11 @@ class TestJanossyAndMoment:
             janossy(P, ("a",) * 3)
         with pytest.raises(ValueError, match="tuple of length 3 exceeds n_max=2"):
             P.entry(("a", "a", "b"))
+        with pytest.raises(ValueError, match="tuple of length 3 exceeds n_max=2"):
+            P.entries([(0, 0, 1)])
+        for bad in ([(0, 2)], [(-1, 0)]):
+            with pytest.raises(KeyError, match="outside space of size 2"):
+                P.entries(bad)
 
 
 class TestScalarProduct:
@@ -607,8 +612,11 @@ class TestPackedKernels:
         P = MultiObjectDensity(space(d), dense)
         for n, t in enumerate(dense):
             np.testing.assert_array_equal(P.tensors[n], t)
-            for tup in itertools.islice(itertools.product(range(d), repeat=n), 50):
+            tuples = list(itertools.islice(itertools.product(range(d), repeat=n), 50))
+            for tup in tuples:
                 assert P.entry(tup) == t[tup]
+            # many unsorted rows in one read, as the update reads clutter parts
+            np.testing.assert_array_equal(P.entries(tuples), [t[tup] for tup in tuples])
         assert len(P.packed[top]) == math.comb(d + top - 1, top)
         with pytest.raises(ValueError):
             P.tensors[2][(0,) * 2] = 1.0
