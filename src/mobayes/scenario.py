@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -337,25 +337,33 @@ def load_config(doc: dict | str | os.PathLike) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _sample_tuple(
-    rng: np.random.Generator, density: MultiObjectDensity
-) -> tuple[int, ...]:
-    """Draw one configuration (as state indices) from a normalized density.
+def _tuple_sampler(
+    density: MultiObjectDensity,
+) -> Callable[[np.random.Generator], tuple[int, ...]]:
+    """A draw of one configuration (as state indices) from a normalized density.
 
-    The draw reads the dense view, one rng.choice over all d**n ordered
-    tuples: a draw over packed entries would consume the stream
+    The clipped, normalized cardinality distribution is computed here and
+    each level's normalized weights on first use, so repeated draws only
+    consume the stream. A draw reads the dense view, one rng.choice over all
+    d**n ordered tuples: a draw over packed entries would consume the stream
     differently and change every simulated episode, and with them the
     recorded references of the track benchmark.
     """
     card = np.clip(density.cardinality_distribution(), 0.0, None)
     card = card / card.sum()
-    n = int(rng.choice(len(card), p=card))
-    if n == 0:
-        return ()
-    weights = density.tensors[n].ravel()
-    weights = weights / weights.sum()
-    flat = int(rng.choice(weights.size, p=weights))
-    return tuple(int(i) for i in np.unravel_index(flat, density.tensors[n].shape))
+    levels: dict[int, np.ndarray] = {}
+
+    def draw(rng: np.random.Generator) -> tuple[int, ...]:
+        n = int(rng.choice(len(card), p=card))
+        if n == 0:
+            return ()
+        if n not in levels:
+            weights = density.tensors[n].ravel()
+            levels[n] = weights / weights.sum()
+        flat = int(rng.choice(levels[n].size, p=levels[n]))
+        return tuple(int(i) for i in np.unravel_index(flat, density.tensors[n].shape))
+
+    return draw
 
 
 def _sample_group(
@@ -378,6 +386,7 @@ def _evolve(
     rng: np.random.Generator,
     scenario: Scenario,
     objects: tuple[int, ...],
+    births: Callable[[np.random.Generator], tuple[int, ...]],
 ) -> tuple[int, ...]:
     """One step of per-object survive-or-die motion plus fresh births."""
     model = scenario.transition
@@ -387,8 +396,7 @@ def _evolve(
             survivors.append(
                 int(rng.choice(scenario.state_space.size, p=model.motion[:, y]))
             )
-    born = _sample_tuple(rng, model.birth)
-    return tuple(survivors) + born
+    return tuple(survivors) + births(rng)
 
 
 def simulate(
@@ -403,16 +411,18 @@ def simulate(
     """
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
-    state = _sample_tuple(rng, scenario.prior)
+    births = _tuple_sampler(scenario.transition.birth)
+    clutter = _tuple_sampler(scenario.clutter)
+    state = _tuple_sampler(scenario.prior)(rng)
     truths = [tuple(scenario.state_space.labels[i] for i in state)]
     measurement_sets: list[list[str]] = []
     for _ in range(scenario.steps):
-        state = _evolve(rng, scenario, state)
+        state = _evolve(rng, scenario, state, births)
         truths.append(tuple(scenario.state_space.labels[i] for i in state))
         z: list[int] = []
         for x in state:
             z.extend(_sample_group(rng, scenario.kernel, x))
-        z.extend(_sample_tuple(rng, scenario.clutter))
+        z.extend(clutter(rng))
         measurement_sets.append([scenario.obs_space.labels[i] for i in z])
     return truths, measurement_sets
 
