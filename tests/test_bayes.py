@@ -349,18 +349,18 @@ class TestUpdatePlan:
 
         def update(Z):
             post = posterior_partition_clutter(prior, kernel, clutter, Z, prune=prune)
-            moment = posterior_intensity_clutter(prior, kernel, clutter, Z, prune=prune)
-            return post, moment
+            intensity = posterior_intensity_clutter(prior, kernel, clutter, Z, prune=prune)
+            return post, intensity
 
         mobayes.bayes._plan.cache_clear()
-        cold, cold_moment = update(relabeled)
+        cold, cold_intensity = update(relabeled)
         mobayes.bayes._plan.cache_clear()
         update(first)
         misses = mobayes.bayes._plan.cache_info().misses
-        warm, warm_moment = update(relabeled)
+        warm, warm_intensity = update(relabeled)
         assert mobayes.bayes._plan.cache_info().misses == misses
         assert_same_posterior(cold, warm)
-        assert cold_moment.tobytes() == warm_moment.tobytes()
+        assert cold_intensity.tobytes() == warm_intensity.tobytes()
 
     def test_prior_caps_key_the_plan(self):
         """Priors with different n_max cap the block count differently, so
