@@ -9,17 +9,22 @@ variation of the prior functional taken at the missed-detection profile,
 with one increment per block; clutter adds an outer sum over the subset of
 Z explained by the clutter process. Evidence is the same sum with no free
 measurement points.
-There is one numeric path: the evidence is a signed log-sum-exp over the
-terms, and each term's numerator is scaled by its weight over the evidence,
-so evidences far below the smallest double never underflow. The engine
-works on packed coefficients through the kernels of finite_pp and never
-indexes their layout: finite_pp.derivatives gives the prior's variations
-D_k at the missed-detection profile once per update, and a term's
-denominator is finite_pp.pairings of D_k with the linear_products of its
-block vectors. The posterior entries are the prior's times one
-finite_pp.multiply of the block functional sum_terms scale * prod_i v_i[h]
-and exp(p0[h]). The posterior carries the prior's truncation_mass, so mass
-dropped at earlier caps is not forgotten.
+The engine splits the sum in two. The likelihood functional
+L[h] = sum over terms of w * prod_i v_i[h], each term's weight w times the
+product of its block increments, depends only on the measurement set, the
+kernel and the clutter, never on the prior; _likelihood builds its packed
+levels W_k (the terms with k blocks) once per measurement set and sensor
+model and caches them. An update then does only the prior's work:
+finite_pp.derivatives gives the prior's variations D_k at the
+missed-detection profile, the evidence is sum_k finite_pp.pairings(D_k,
+W_k), and the posterior entries are the prior's times one
+finite_pp.multiply of B_k = W_k / evidence and exp(p0[h]). The engine never
+indexes the packed layout. There is one numeric path: every measurement
+label carries an exact power-of-two scale, so W is stored as 2^-S L with
+an integer S, and evidences far below the smallest double neither
+underflow nor need a log-sum-exp; the posterior does not depend on S. The
+posterior carries the prior's truncation_mass, so mass dropped at earlier
+caps is not forgotten.
 
 The brute-force and numeric oracles this engine is checked against live in
 mobayes.oracles.
@@ -44,6 +49,12 @@ order and so the summation order, reads one group vector per distinct
 content and the clutter density of each distinct part, and gathers the
 terms' vectors for finite_pp.linear_products; measurement sets that differ
 only in their labels share one plan.
+
+A filter meets the same measurement sets again and again, so _likelihood
+keeps the W levels of the last 64 (measurement set, sensor model, caps)
+keys. Its key holds the kernel and clutter objects themselves, which is
+sound because both are read-only: ObservationKernel freezes its tables and
+MultiObjectDensity its packed levels.
 
 posterior_intensity_clutter evaluates the first factorial moment directly
 from the partition sum: each partition contributes an appended-increment
@@ -118,6 +129,10 @@ class ObservationKernel:
     the joint density of an object at x producing exactly the group
     (z_1..z_m); tables[0] is the missed-detection profile. For every state,
     sum_m (1/m!) sum over z-tuples must equal one.
+
+    A kernel is read-only: its tables are private copies with numpy's
+    writeable flag off, so writing into one raises ValueError. The update
+    caches values computed from a kernel under the kernel itself.
     """
 
     def __init__(
@@ -143,7 +158,7 @@ class ObservationKernel:
                 arr = _symmetrized(arr, m)
             elif not _is_symmetric(arr, m):
                 raise ValueError(f"table {m} is not symmetric in its z axes")
-            fixed.append(arr.copy())
+            fixed.append(_frozen(arr.copy()))
         if not fixed:
             raise ValueError("at least the missed-detection table is required")
         totals = sum(
@@ -315,6 +330,7 @@ class _Plan(NamedTuple):
     groups: tuple  # per block count k: (its terms, their (terms, k) content ids)
     contents: tuple  # the distinct block contents, one (count, size) array per size
     parts: tuple  # the distinct clutter parts, one (count, size) array per size
+    members: np.ndarray  # each content's, then each part's, count of every position
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -369,6 +385,11 @@ def _plan(
         )
         for k, (w, b) in enumerate(zip(where, ids))
     )
+    values = sorted(content_id, key=content_id.get) + sorted(part_id, key=part_id.get)
+    members = np.zeros((len(values), len(n)), dtype=np.intp)
+    for row, positions in enumerate(values):
+        for i in positions:
+            members[row, i] += 1
     return _Plan(
         _frozen(np.array([float(cnt) for _, cnt in terms])),
         _frozen(np.array([part_id[dropped] for (dropped, _), _ in terms], dtype=np.intp)),
@@ -376,15 +397,16 @@ def _plan(
         groups,
         contents,
         parts,
+        _frozen(members),
     )
 
 
-def _pattern(kernel: ObservationKernel, Z: MeasurementSet) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Z's distinct observation indices, sorted, and how often each occurs:
-    the map from plan positions to labels, and the plan's key n."""
-    tally = Counter(kernel.obs_space.indices(Z))
+def _pattern(z: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The distinct observation indices of z, sorted, and how often each
+    occurs: the map from plan positions to labels, and the plan's key n."""
+    tally = Counter(z)
     labels = sorted(tally)
-    return np.array(labels, dtype=np.intp), tuple(tally[z] for z in labels)
+    return np.array(labels, dtype=np.intp), tuple(tally[i] for i in labels)
 
 
 def _group_vectors(plan: _Plan, labels: np.ndarray, kernel: ObservationKernel) -> list:
@@ -432,6 +454,74 @@ def _block_functional(scales: np.ndarray, groups: dict) -> list[np.ndarray]:
     return out
 
 
+def _exponents(members: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """The scale e of each label position: the largest ceil(E / size) over
+    the nonzero values whose labels include it, E being a value's frexp
+    exponent and size its number of labels; 0 where there is none.
+
+    members holds each value's count of every position, and peaks the
+    values' magnitudes. A value's labels then sum to at least its E, so
+    every value divided by 2 to that sum lies below 1: no scaled value
+    overflows, and exact zeros, such as the groups pruning skips, count for
+    nothing.
+    """
+    scale: list = [None] * members.shape[1]
+    for counts, peak in zip(members.tolist(), peaks.tolist()):
+        size = sum(counts)
+        if peak > 0.0 and size:
+            per = -(-math.frexp(peak)[1] // size)
+            for i, count in enumerate(counts):
+                if count and (scale[i] is None or per > scale[i]):
+                    scale[i] = per
+    return np.array([0 if e is None else e for e in scale], dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=64)
+def _likelihood(
+    kernel: ObservationKernel,
+    clutter: MultiObjectDensity | None,
+    z: tuple[int, ...],
+    prune: bool,
+    n_max: int,
+) -> tuple[int, tuple[np.ndarray, ...]]:
+    """S and the packed levels W_0..W_K of 2^-S L[h], the likelihood
+    functional of the sorted observation indices z.
+
+    L[h] sums w * prod_i v_i[h] over the terms of z's plan within the caps
+    (kernel.m_max when pruning, n_max blocks, clutter.n_max clutter
+    labels), w being a term's count times the clutter density of its
+    clutter part; W_k holds the terms with k blocks, up to the largest
+    block count K with a nonzero weight. Each label z gets an exponent e_z
+    (_exponents). Every group vector and clutter value is divided by 2 to
+    the sum of e_z over its labels, exactly, and every term covers each
+    label of z once, so each term is divided by 2^S with S = sum_z n_z e_z:
+    a product of many small factors stays in range. The levels are summed
+    in signature order (_block_functional), so blocks that pruning skips
+    add exact zeros, and are frozen copies, since the cache hands them to
+    every caller.
+    """
+    labels, n = _pattern(z)
+    plan = _plan(
+        n,
+        kernel.m_max if prune else None,
+        clutter is not None,
+        n_max,
+        None if clutter is None else clutter.n_max,
+    )
+    vectors = _group_vectors(plan, labels, kernel)
+    vectors = np.array(vectors).reshape(len(vectors), kernel.state_space.size)
+    values = _clutter_values(plan, labels, clutter)
+    peaks = np.concatenate([np.abs(vectors).max(axis=1, initial=0.0), np.abs(values)])
+    exponents = _exponents(plan.members, peaks)
+    shifts = plan.members @ exponents
+    vectors = np.ldexp(vectors, -shifts[: len(vectors), None])
+    values = np.ldexp(values, -shifts[len(vectors) :])
+    weights = plan.counts * values[plan.clutter]
+    keep = weights != 0.0
+    levels = _block_functional(weights[keep], _kept_products(plan, vectors, keep))
+    return int(exponents @ n), tuple(_frozen(level.copy()) for level in levels)
+
+
 def _partition_engine(
     prior: MultiObjectDensity,
     kernel: ObservationKernel,
@@ -442,52 +532,25 @@ def _partition_engine(
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Log evidence and the normalized block functional of the update.
 
-    Each distinct signature within the caps (kernel.m_max when pruning,
-    prior.n_max blocks, clutter.n_max clutter labels) is one term. Its
-    weight w is the signature count times the clutter density of its
-    clutter part, and its denominator den is the variation of the prior
-    functional at the missed-detection profile with one increment per
-    block. The evidence sum w * den is a log-sum-exp over log|w| + log|den|
-    that carries each term's sign, so evidences far below the smallest
-    double do not underflow. Returns the log evidence, the packed levels
-    B_0..B_K of sum over terms of (w / evidence) * prod_i v_i[h]
-    (_block_functional), K the largest block count, and the prior's
-    variations D_0..D_(K + spare) at the missed-detection profile; a term
-    whose denominator is 0 is kept, since its numerator need not vanish.
+    Reads S and W_0..W_K of 2^-S L[h] from _likelihood, which depend on Z,
+    the sensor model and prior.n_max only, and does the prior's work: the
+    variations D_0..D_(K + spare) at the missed-detection profile and the
+    scaled evidence E = sum_k pairings(D_k, W_k), the true evidence times
+    2^-S. With (m, e) = frexp(E) the log evidence is log m + (e + S) log 2,
+    and B_k = W_k / E; powers of two scale exactly, so neither depends on S.
+    Returns the log evidence, B_0..B_K and the variations.
     """
     _check_update_spaces(prior, kernel, clutter)
-    labels, n = _pattern(kernel, Z)
-    plan = _plan(
-        n,
-        kernel.m_max if prune else None,
-        clutter is not None,
-        prior.n_max,
-        None if clutter is None else clutter.n_max,
-    )
-    weights = plan.counts * _clutter_values(plan, labels, clutter)[plan.clutter]
-    keep = weights != 0.0
-    vectors = _group_vectors(plan, labels, kernel)
+    z = tuple(sorted(kernel.obs_space.indices(Z)))
+    shift, levels = _likelihood(kernel, clutter, z, prune, prior.n_max)
     d = prior.space.size
-    groups = _kept_products(plan, np.array(vectors).reshape(len(vectors), d), keep)
-    weights = weights[keep].tolist()
-    D = derivatives(prior.packed, kernel.tables[0], len(groups) - 1 + spare)
-    dens = np.zeros(len(weights))
-    for k, (idx, products) in groups.items():
-        dens[idx] = pairings(D[k], products, d, k)
-    logs, signs = [], []  # log|weight * den| and its sign, for den != 0
-    for weight, den in zip(weights, dens.tolist()):
-        if den != 0.0:
-            logs.append(math.log(abs(weight)) + math.log(abs(den)))
-            signs.append(-1.0 if (weight < 0.0) != (den < 0.0) else 1.0)
-    peak = max(logs, default=0.0)
-    total = sum(s * math.exp(v - peak) for s, v in zip(signs, logs))
-    if not total > 0.0:
+    D = derivatives(prior.packed, kernel.tables[0], len(levels) - 1 + spare)
+    evidence = sum(float(pairings(D[k], w[None], d, k)[0]) for k, w in enumerate(levels))
+    if not evidence > 0.0:
         raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
-    log_evidence = peak + math.log(total)
-    scales = np.array(
-        [math.copysign(math.exp(math.log(abs(w)) - log_evidence), w) for w in weights]
-    )
-    return log_evidence, _block_functional(scales, groups), D
+    mantissa, exponent = math.frexp(evidence)
+    log_evidence = math.log(mantissa) + (exponent + shift) * math.log(2.0)
+    return log_evidence, [w / evidence for w in levels], D
 
 
 def posterior_partition_clutter(
@@ -551,7 +614,7 @@ def posterior_intensity_clutter(
 
 def _poisson_terms(mu, kernel, Z, prune: bool):
     """Z's plan without clutter, its group vectors and the scalars mu[v]."""
-    labels, n = _pattern(kernel, Z)
+    labels, n = _pattern(kernel.obs_space.indices(Z))
     plan = _plan(n, kernel.m_max if prune else None, False, None, None)
     vectors = _group_vectors(plan, labels, kernel)
     return plan, vectors, [float(mu @ v) for v in vectors]

@@ -364,6 +364,12 @@ class MultiObjectDensity:
     (probability densities) but may be any finite real when the instance
     carries an unnormalized numerator. truncation_mass records probability
     dropped past n_max by whatever operation built the instance.
+
+    The levels are read-only: numpy's writeable flag is off on each packed
+    level and dense view, so writing into one raises ValueError. Operations
+    return new densities; the cached dense view, and the update's
+    likelihood cache keyed on a clutter density, rely on its levels never
+    changing.
     """
 
     def __init__(
@@ -403,6 +409,8 @@ class MultiObjectDensity:
         return self
 
     def _assign(self, space, packed, truncation_mass) -> None:
+        for level in packed:
+            level.flags.writeable = False
         self.space = space
         self.packed = packed
         self.truncation_mass = float(truncation_mass)

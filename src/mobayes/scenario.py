@@ -337,65 +337,90 @@ def load_config(doc: dict | str | os.PathLike) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Generator.choice's table for the probabilities p: their cumulative
+    sums divided by the last one.
+
+    _draw on it returns what rng.choice(len(p), p=p) returns, by the same
+    searchsorted over one rng.random() double, so a table built once
+    serves every draw without changing the stream.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """One index drawn from a _cdf table."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _tuple_sampler(
     density: MultiObjectDensity,
 ) -> Callable[[np.random.Generator], tuple[int, ...]]:
     """A draw of one configuration (as state indices) from a normalized density.
 
-    The clipped, normalized cardinality distribution is computed here and
-    each level's normalized weights on first use, so repeated draws only
-    consume the stream. A draw reads the dense view, one rng.choice over all
-    d**n ordered tuples: a draw over packed entries would consume the stream
+    The table of the clipped, normalized cardinality distribution is built
+    here and each level's table on first use, so repeated draws only
+    consume the stream. A draw reads the dense view, one draw over all d**n
+    ordered tuples: a draw over packed entries would consume the stream
     differently and change every simulated episode, and with them the
     recorded references of the track benchmark.
     """
     card = np.clip(density.cardinality_distribution(), 0.0, None)
-    card = card / card.sum()
+    card = _cdf(card / card.sum())
     levels: dict[int, np.ndarray] = {}
 
     def draw(rng: np.random.Generator) -> tuple[int, ...]:
-        n = int(rng.choice(len(card), p=card))
+        n = _draw(rng, card)
         if n == 0:
             return ()
         if n not in levels:
             weights = density.tensors[n].ravel()
-            levels[n] = weights / weights.sum()
-        flat = int(rng.choice(levels[n].size, p=levels[n]))
+            levels[n] = _cdf(weights / weights.sum())
+        flat = _draw(rng, levels[n])
         return tuple(int(i) for i in np.unravel_index(flat, density.tensors[n].shape))
 
     return draw
 
 
-def _sample_group(
-    rng: np.random.Generator, kernel: ObservationKernel, x: int
-) -> list[int]:
-    """Draw one object's measurement group (observation indices)."""
-    sizes = kernel.emission_weights()[x]
-    sizes = sizes / sizes.sum()
-    m = int(rng.choice(len(sizes), p=sizes))
-    if m == 0:
-        return []
-    table = kernel.tables[m][x]
-    weights = table.ravel()
-    weights = weights / weights.sum()
-    flat = int(rng.choice(weights.size, p=weights))
-    return [int(i) for i in np.unravel_index(flat, table.shape)]
+def _group_sampler(
+    kernel: ObservationKernel,
+) -> Callable[[np.random.Generator, int], list[int]]:
+    """A draw of one object's measurement group (observation indices) from
+    its state. Each state's table of group sizes is built here and its
+    table of groups of one size on first use; a size a state never emits
+    gets none."""
+    sizes = [_cdf(w / w.sum()) for w in kernel.emission_weights()]
+    groups: dict[tuple[int, int], np.ndarray] = {}
+
+    def draw(rng: np.random.Generator, x: int) -> list[int]:
+        m = _draw(rng, sizes[x])
+        if m == 0:
+            return []
+        table = kernel.tables[m][x]
+        if (x, m) not in groups:
+            weights = table.ravel()
+            groups[x, m] = _cdf(weights / weights.sum())
+        flat = _draw(rng, groups[x, m])
+        return [int(i) for i in np.unravel_index(flat, table.shape)]
+
+    return draw
 
 
 def _evolve(
     rng: np.random.Generator,
-    scenario: Scenario,
+    survival: np.ndarray,
+    moves: list[np.ndarray],
     objects: tuple[int, ...],
     births: Callable[[np.random.Generator], tuple[int, ...]],
 ) -> tuple[int, ...]:
-    """One step of per-object survive-or-die motion plus fresh births."""
-    model = scenario.transition
+    """One step of per-object survive-or-die motion plus fresh births;
+    moves[y] is the table of motion column y."""
     survivors: list[int] = []
     for y in objects:
-        if rng.random() < model.survival[y]:
-            survivors.append(
-                int(rng.choice(scenario.state_space.size, p=model.motion[:, y]))
-            )
+        if rng.random() < survival[y]:
+            survivors.append(_draw(rng, moves[y]))
     return tuple(survivors) + births(rng)
 
 
@@ -411,17 +436,20 @@ def simulate(
     """
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
-    births = _tuple_sampler(scenario.transition.birth)
+    model = scenario.transition
+    moves = [_cdf(column) for column in model.motion.T]
+    births = _tuple_sampler(model.birth)
     clutter = _tuple_sampler(scenario.clutter)
+    group = _group_sampler(scenario.kernel)
     state = _tuple_sampler(scenario.prior)(rng)
     truths = [tuple(scenario.state_space.labels[i] for i in state)]
     measurement_sets: list[list[str]] = []
     for _ in range(scenario.steps):
-        state = _evolve(rng, scenario, state, births)
+        state = _evolve(rng, model.survival, moves, state, births)
         truths.append(tuple(scenario.state_space.labels[i] for i in state))
         z: list[int] = []
         for x in state:
-            z.extend(_sample_group(rng, scenario.kernel, x))
+            z.extend(group(rng, x))
         z.extend(clutter(rng))
         measurement_sets.append([scenario.obs_space.labels[i] for i in z])
     return truths, measurement_sets

@@ -328,10 +328,24 @@ def assert_same_posterior(a, b) -> None:
     assert a.log_evidence == b.log_evidence
 
 
+def clear_update_caches():
+    mobayes.bayes._plan.cache_clear()
+    mobayes.bayes._likelihood.cache_clear()
+
+
+def cache_misses():
+    return (
+        mobayes.bayes._plan.cache_info().misses,
+        mobayes.bayes._likelihood.cache_info().misses,
+    )
+
+
 class TestUpdatePlan:
-    """The signature walk is cached per label-count pattern (bayes._plan);
-    a plan built for one measurement set must serve every other set with
-    the same pattern, and nothing may depend on whether it was warm."""
+    """The signature walk is cached per label-count pattern (bayes._plan)
+    and the likelihood functional per measurement set and sensor model
+    (bayes._likelihood); a plan built for one measurement set must serve
+    every other set with the same pattern, and nothing may depend on
+    whether either cache was warm."""
 
     @pytest.mark.parametrize("clutter_kind", ["none", "explicit", "poisson"])
     @pytest.mark.parametrize("prune", [True, False])
@@ -352,32 +366,48 @@ class TestUpdatePlan:
             intensity = posterior_intensity_clutter(prior, kernel, clutter, Z, prune=prune)
             return post, intensity
 
-        mobayes.bayes._plan.cache_clear()
+        clear_update_caches()
         cold, cold_intensity = update(relabeled)
-        mobayes.bayes._plan.cache_clear()
+        clear_update_caches()
         update(first)
-        misses = mobayes.bayes._plan.cache_info().misses
-        warm, warm_intensity = update(relabeled)
-        assert mobayes.bayes._plan.cache_info().misses == misses
-        assert_same_posterior(cold, warm)
-        assert cold_intensity.tobytes() == warm_intensity.tobytes()
+        plan_misses, likelihood_misses = cache_misses()
+        warm_plan, warm_plan_intensity = update(relabeled)  # a new likelihood, no new plan
+        assert cache_misses() == (plan_misses, likelihood_misses + 1)
+        warm, warm_intensity = update(relabeled[::-1])  # both warm
+        assert cache_misses() == (plan_misses, likelihood_misses + 1)
+        for post, intensity in [(warm_plan, warm_plan_intensity), (warm, warm_intensity)]:
+            assert_same_posterior(cold, post)
+            assert cold_intensity.tobytes() == intensity.tobytes()
 
     def test_prior_caps_key_the_plan(self):
         """Priors with different n_max cap the block count differently, so
-        they must not share a plan."""
+        they must not share a plan or a likelihood functional."""
         rng = np.random.default_rng(96)
         X, Zs = space(2), space(2, "z")
         kernel = random_kernel(rng, X, Zs, 1)
         clutter = random_poisson_clutter(rng, Zs, n_max=3)
         small, large = random_density(rng, X, 2), random_density(rng, X, 4)
         Z = ["za", "zb", "za"]
-        mobayes.bayes._plan.cache_clear()
+        clear_update_caches()
         cold = posterior_partition_clutter(small, kernel, clutter, Z)
-        mobayes.bayes._plan.cache_clear()
+        clear_update_caches()
         posterior_partition_clutter(large, kernel, clutter, Z)
         warm = posterior_partition_clutter(small, kernel, clutter, Z)
         assert mobayes.bayes._plan.cache_info().currsize == 2
+        assert mobayes.bayes._likelihood.cache_info().currsize == 2
         assert_same_posterior(cold, warm)
+
+    def test_models_are_read_only(self):
+        """The likelihood cache is keyed on the kernel and clutter objects,
+        so their numbers must not change under it."""
+        rng = np.random.default_rng(98)
+        X, Zs = space(2), space(2, "z")
+        prior = random_density(rng, X, 2)
+        kernel = random_kernel(rng, X, Zs, 2)
+        post = posterior_partition_clutter(prior, kernel, None, ["za"])
+        for level in (kernel.tables[1], prior.packed[1], post.density.packed[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                level[0] = 0.5
 
     def test_large_pattern_plan_holds_arrays_only(self):
         """Eight distinct labels, two per object, up to six objects and six
@@ -391,7 +421,7 @@ class TestUpdatePlan:
         clutter = random_poisson_clutter(rng, Zs, n_max=6)
         Z = list(Zs.labels)
         posterior_partition_clutter(prior, kernel, clutter, Z)  # warms the layouts
-        mobayes.bayes._plan.cache_clear()
+        clear_update_caches()
         gc.collect()
         tracemalloc.start()
         try:
@@ -556,6 +586,44 @@ class TestClutterUpdate:
         )
         assert tensor_gap(post.density, prior) < 1e-12
 
+    def test_two_block_evidence_below_the_smallest_float(self):
+        """Two sure objects on one state each emit u with density 1e-200.
+        The prior is unnormalized, with weight 1 on the pair (mass 1/2), so
+        the one term is the two-block product 1e-400, which a double cannot
+        hold; the per-label scale keeps it in range, and the posterior is
+        the normalized prior."""
+        X, Zs = space(1), FiniteSpace(("u", "v"))
+        prior = MultiObjectDensity(X, [0.0, [0.0], [[1.0]]])
+        kernel = ObservationKernel.from_detection(
+            X, Zs, [1.0], np.array([[1e-200, 1.0 - 1e-200]])
+        )
+        post = posterior_partition_clutter(prior, kernel, None, ["u", "u"])
+        np.testing.assert_allclose(
+            post.log_evidence, 2 * math.log(1e-200), rtol=0, atol=1e-12
+        )
+        assert tensor_gap(post.density, prior.scaled(2.0)) < 1e-12
+
+    def test_a_dominant_pair_keeps_the_scale_in_range(self):
+        """An object emits u alone with density 1e-200 but the pair (u, u)
+        with density 0.6. A scale for u read off its singleton alone would
+        multiply the pair by 2^1328, past the largest double; the scale of
+        the largest value holding u keeps every value below one."""
+        X, Zs = space(1), FiniteSpace(("u", "v"))
+        t1 = np.array([[1e-200, 0.2]])
+        t2 = np.array([[[0.6, 0.0], [0.0, 0.0]]])
+        t0 = 1.0 - t1.sum(axis=1) - t2.sum(axis=(1, 2)) / 2
+        kernel = ObservationKernel(X, Zs, [t0, t1, t2])
+        for prior in (
+            MultiObjectDensity(X, [0.0, [1.0]]),
+            MultiObjectDensity(X, [0.0, [0.5], [[1.0]]]),
+        ):
+            fast = posterior_partition_clutter(prior, kernel, None, ["u", "u"])
+            slow = posterior_direct(prior, kernel, ["u", "u"])
+            assert tensor_gap(fast.density, slow.density) < 1e-12
+            np.testing.assert_allclose(
+                fast.log_evidence, slow.log_evidence, rtol=0, atol=1e-12
+            )
+
 
 class TestPoissonClosedForms:
     def _instance(self, rng, d_x=2, d_z=2, m_max=2):
@@ -588,7 +656,7 @@ class TestPoissonClosedForms:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mobayes.bayes, "_signature_counts", counted)
-        mobayes.bayes._plan.cache_clear()
+        clear_update_caches()
         poisson_posterior(spec, kernel, ["za", "zb", "za"])
         assert len(calls) == 1
         poisson_posterior(spec, kernel, ["zb", "zc", "zb"])  # counts (2, 1) again

@@ -7,6 +7,7 @@ one smoke path so the plumbing is exercised end to end.
 """
 
 import csv
+import gc
 import json
 import math
 import re
@@ -18,10 +19,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mobayes import ConfigError, TruncationOverflow, bell, load_config, run, simulate, verify
+import mobayes.bayes
+from mobayes import (
+    ConfigError,
+    TruncationOverflow,
+    bell,
+    load_config,
+    posterior_partition_clutter,
+    run,
+    simulate,
+    verify,
+)
 from mobayes.cli import PARTITIONS_PRINT_MAX, main
 from mobayes.combinatorics import BELL_MAX
-from mobayes.scenario import write_outputs
+from mobayes.scenario import _cdf, _draw, write_outputs
 
 
 def base_config(**overrides):
@@ -280,6 +291,39 @@ class TestLoadConfig:
         assert peak < 64 * 2**20
         assert time.perf_counter() - start < 20.0
 
+    def test_likelihood_cache_holds_levels_only(self):
+        """70 distinct sets of five labels on 20 states, prior cap 4 and one
+        clutter point: each cached likelihood keeps its levels W_0..W_4,
+        10,626 entries (85,008 B), where the per-term products would hold
+        five level-4 rows (354,200 B). The 64 entries the cache keeps must
+        fill 64 level stacks (5.19 MiB) and stay within 5.4 MiB, 4% more
+        for keys and array headers."""
+        sc = load_config(wide_config(20, 4))
+        prior, labels = sc.prior, sc.obs_space.labels
+        rng = np.random.default_rng(20)
+        sets: set = set()
+        while len(sets) < 70:
+            sets.add(tuple(sorted(rng.choice(20, 5, replace=False).tolist())))
+        posterior_partition_clutter(prior, sc.kernel, sc.clutter, labels[:5])  # warms the layouts
+        stacked = sum(level.nbytes for level in prior.packed)
+        mobayes.bayes._likelihood.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for z in sorted(sets):
+                Z = [labels[i] for i in z]
+                posterior_partition_clutter(prior, sc.kernel, sc.clutter, Z)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            assert mobayes.bayes._likelihood.cache_info().currsize == 64
+            mobayes.bayes._likelihood.cache_clear()
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert stacked == 85008
+        assert 64 * stacked <= held <= 5.4 * 2**20
+
     def test_many_state_config_loads_within_a_second(self):
         """729 states at n_max 2, the largest budget-valid space: two
         729x729 matrices, about a million numbers to check."""
@@ -323,6 +367,20 @@ class TestSimulate:
         a = simulate(load_config(base_config(steps=20, seed=1)))
         b = simulate(load_config(base_config(steps=20, seed=2)))
         assert a != b
+
+    @pytest.mark.parametrize(
+        "p", [[0.2, 0.3, 0.5], [0.0, 0.6, 0.0, 0.4, 0.0], [0.0, 0.0, 1.0], [1.0]]
+    )
+    def test_table_draws_are_the_choice_draws(self, p):
+        """A draw from a table built once returns what rng.choice returns
+        from p on the same seed and consumes the same stream."""
+        p = np.array(p)
+        table = _cdf(p)
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        drawn = [_draw(a, table) for _ in range(500)]
+        chosen = [int(b.choice(len(p), p=p)) for _ in range(500)]
+        assert drawn == chosen
+        assert a.random() == b.random()
 
     def test_measurement_mean_matches_the_model(self):
         """Over many steps the measurement count must track its conditional
