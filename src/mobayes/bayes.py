@@ -29,26 +29,38 @@ caps is not forgotten.
 The brute-force and numeric oracles this engine is checked against live in
 mobayes.oracles.
 
-The value of a partition term depends only on its signature: the clutter
-part and the multiset of block contents (sorted z-labels per block). So the
-engine never walks set partitions. _signature_counts walks the partitions
-of the measurement multiset directly, once per signature, and gives each
-the number of set partitions it stands for in closed form; blocks the
-kernel cannot emit, more blocks than the prior's cap and clutter parts past
-the clutter cap are never entered. Terms are accumulated in sorted
-signature order, which makes results bitwise invariant under reordering of
-Z; the set-partition walk survives as a counting oracle in mobayes.oracles.
+The engine never walks set partitions, nor lists terms. For a
+sub-multiset S of Z, let f(S) sum prod_blocks v_b[h] over the set
+partitions of S; f(empty) = 1, and its level k, the partitions into k
+blocks, is a packed polynomial of degree k. Choosing first the block b
+that holds one copy of the smallest label l of S gives the recursion that
+Faa di Bruno's partition sum satisfies when one increment is added at a
+time: f(S) = sum over b of prod_z C(s_z - [z=l], b_z - [z=l]) v_b[h]
+f(S - b), over the b within the kernel's m_max. With clutter,
+L = sum over clutter parts C within the clutter cap of the clutter density
+at C times prod_z C(n_z, c_z) f(Z - C). _levels nests the recursion by
+block count: level k of every sub-multiset comes from level k - 1 of every
+sub-multiset through one gather, one finite_pp.times_linear and one
+np.bincount, and it stops at the prior's cap. The work follows the box
+prod_z (n_z + 1) of sub-multisets, not the number of distinct terms, which
+with distinct labels and blocks of two grows past a million at twelve
+measurements. Each sub-multiset adds its blocks in one fixed order, so
+blocks whose vector is zero (those past m_max when prune=False) add exact
+zeros, and since Z is read in sorted-label order, results are bitwise
+invariant under its reordering.
 
-Nothing in that walk reads a value: it sees only the label counts n of Z
-in sorted-label order and the caps. So _plan runs it once per such pattern
-over label positions and caches the result as numpy arrays, the update
-plan: each term's count, clutter part and block count, its block contents
-grouped by block count, and the distinct contents and clutter parts. An
-update maps positions to its labels, a monotone map that keeps the sorted
-order and so the summation order, reads one group vector per distinct
-content and the clutter density of each distinct part, and gathers the
-terms' vectors for finite_pp.linear_products; measurement sets that differ
-only in their labels share one plan.
+Nothing in that recursion reads a value: it sees only the label counts n
+of Z in sorted-label order and the caps. So _plan builds it once per such
+pattern over label positions and caches it as numpy arrays, the update
+plan: the sub-multisets in size order, each one's blocks with their
+binomial coefficients, and the clutter parts with theirs. An update maps
+positions to its labels, a monotone map that keeps every order, and reads
+one group vector per block and the clutter density of each part;
+measurement sets that differ only in their labels share one plan. The
+plan does not depend on the prior. _signature_counts, a walk over the
+distinct terms with their counts, is kept as the counting reference the
+recursion is tested against; no update calls it, and the set-partition
+walk is a second counting oracle in mobayes.oracles.
 
 A filter meets the same measurement sets again and again, so _likelihood
 keeps the W levels of the last 64 (measurement set, sensor model, caps)
@@ -65,13 +77,18 @@ of each block count, off the normalized block functional B that the
 posterior multiplies (the replaced ones by the product rule), so no term
 is evaluated on its own. Poisson priors additionally get closed
 forms in which every variation collapses to a product of scalars
-mu[P_block]; they share the signature enumeration, _block_functional and
-finite_pp.multiply with the engine, so they are not independent oracles.
+mu[P_block]: poisson_posterior takes its block functional from the same
+value pass with vectors mu * v_b and no clutter, and
+poisson_posterior_intensity and the partition total come from a scalar
+pass over the same plan that builds no tensor (_partition_sums). They
+share the plan, _levels and finite_pp.multiply with the engine, so they
+are not independent oracles.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -91,15 +108,16 @@ from .finite_pp import (
     MultiObjectDensity,
     PoissonSpec,
     _as_test_function,
+    _frozen,
     _is_symmetric,
     _poisson_cap,
     _symmetrized,
     derivatives,
     exp_coefficients,
-    linear_products,
     multiply,
     pairings,
     symmetrize,  # unused here; bench/spans.py wraps mobayes.bayes.symmetrize
+    times_linear,
 )
 
 MeasurementSet = Sequence[str | int]
@@ -186,6 +204,14 @@ class ObservationKernel:
             return np.zeros(self.state_space.size)
         return self.tables[m][(slice(None),) + tuple(z_idx)]
 
+    def group_vectors(self, groups: np.ndarray) -> np.ndarray:
+        """group_vector of each row of a (count, m) array of observation
+        indices, m >= 1, as a (count, d_x) array."""
+        count, m = groups.shape
+        if m > self.m_max:
+            return np.zeros((count, self.state_space.size))
+        return self.tables[m][(slice(None),) + tuple(groups.T)].T
+
     def emission_weights(self) -> np.ndarray:
         """Per-state probabilities of emitting a group of each size."""
         d_x = self.state_space.size
@@ -245,14 +271,13 @@ def _sub_multisets(labels, counts, room: int):
 
 
 def _signature_counts(
-    z_idx: tuple[int, ...],
-    m_cap: int | None,
-    with_clutter: bool = True,
-    *,
-    max_blocks: int | None = None,
-    max_clutter: int | None = None,
+    z_idx: tuple[int, ...], m_cap: int | None, with_clutter: bool = True
 ) -> Counter:
     """Content signatures of all (subset, set partition) terms, with counts.
+
+    The counting reference: no update calls it. The recursion (_plan,
+    _levels) sums the same terms without listing them, and the tests
+    check its counts against this walk.
 
     A signature is (clutter part, blocks): the sorted labels handed to
     clutter and the sorted tuple of per-block sorted z-labels. Terms with
@@ -264,18 +289,14 @@ def _signature_counts(
     before it. Each signature is reached once, and its count of set
     partitions is prod n_z! / (prod c_z! * prod_blocks prod_z b_z! *
     prod k_g!) for label counts n, clutter part c, block contents b and k_g
-    repeats of each distinct block.
-
-    Blocks over m_cap labels, more than max_blocks blocks and clutter parts
-    over max_clutter labels are never entered (None: no cap). Without a
-    clutter process the clutter part is always empty.
+    repeats of each distinct block. Blocks over m_cap labels (None: no cap)
+    are never entered; without a clutter process the clutter part is
+    always empty.
     """
     m = len(z_idx)
     labels = sorted(set(z_idx))
     n = [z_idx.count(z) for z in labels]
     cap = m if m_cap is None else m_cap
-    top = m if max_blocks is None else max_blocks
-    c_top = (m if max_clutter is None else max_clutter) if with_clutter else 0
     total = math.prod(map(math.factorial, n))
     # block types in sorted-tuple order: those led by one label are contiguous
     types = sorted(
@@ -295,8 +316,6 @@ def _signature_counts(
         if not left:
             counts[(dropped, tuple(blocks))] = total // den
             return
-        if (top - len(blocks)) * cap < left:  # the blocks left cannot hold it
-            return
         while not rest[lead]:
             lead += 1
         lo, hi = led_by[lead]
@@ -315,89 +334,94 @@ def _signature_counts(
                 for i, k in parts:
                     rest[i] += k
 
-    for dropped, c, c_den in _sub_multisets(labels, n, c_top):
+    for dropped, c, c_den in _sub_multisets(labels, n, m if with_clutter else 0):
         walk([a - b for a, b in zip(n, c)], m - len(dropped), 0, 0, 0, c_den)
     return counts
 
 
 class _Plan(NamedTuple):
-    """The partition terms of one measurement pattern, in sorted signature
-    order, with labels replaced by their positions 0..len(n) - 1."""
+    """The recursion over the sub-multisets of one measurement pattern, with
+    labels replaced by their positions 0..len(n) - 1.
 
-    counts: np.ndarray  # the set partitions each term stands for, as floats
-    clutter: np.ndarray  # each term's clutter-part id
-    blocks: np.ndarray  # each term's block count
-    groups: tuple  # per block count k: (its terms, their (terms, k) content ids)
-    contents: tuple  # the distinct block contents, one (count, size) array per size
-    parts: tuple  # the distinct clutter parts, one (count, size) array per size
-    members: np.ndarray  # each content's, then each part's, count of every position
+    The states are the count vectors s <= n, in size order: the empty one
+    first, n last. A pair is a state S and one of its blocks b: a
+    sub-multiset of S that holds one copy of S's smallest position l and
+    at most the block cap in all. Pairs come in state order and, within a
+    state, in one fixed order of their blocks.
+    """
+
+    sizes: np.ndarray  # each state's |S|
+    state: np.ndarray  # each pair's state S
+    block: np.ndarray  # each pair's block id
+    rest: np.ndarray  # each pair's state S - b
+    coef: np.ndarray  # prod_z C(s_z - [z = l], b_z - [z = l]), as floats
+    blocks: tuple  # the blocks' positions, one (count, size) array per size
+    parts: tuple  # the clutter parts' positions, one (count, size) array per size
+    part_coef: np.ndarray  # prod_z C(n_z, c_z) per clutter part c, as floats
+    part_rest: np.ndarray  # the state n - c per clutter part c
+    members: np.ndarray  # each block's, then each part's, count of every position
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-def _by_size(tuples: set) -> tuple[dict, tuple[np.ndarray, ...]]:
-    """Ids of distinct position tuples, numbered by size and then in sorted
-    order, and the tuples as one (count, size) array per size present."""
-    ordered = sorted(tuples, key=lambda t: (len(t), t))
-    arrays = []
-    for size, rows in groupby(ordered, key=len):
+def _sized(n: tuple[int, ...], room: int) -> tuple[list, np.ndarray]:
+    """The sub-multisets of at most `room` positions, position i holding
+    n[i] copies, ordered by size and then positions: their positions as one
+    frozen (count, size) array per size, and their count vectors."""
+    subs = sorted(_sub_multisets(range(len(n)), n, room), key=lambda s: (len(s[0]), s[0]))
+    groups = []
+    for size, rows in groupby((lab for lab, _, _ in subs), key=len):
         rows = list(rows)
-        arrays.append(_frozen(np.array(rows, dtype=np.intp).reshape(len(rows), size)))
-    return {t: i for i, t in enumerate(ordered)}, tuple(arrays)
+        groups.append(_frozen(np.array(rows, dtype=np.intp).reshape(len(rows), size)))
+    return groups, np.array([vec for _, vec, _ in subs], dtype=np.intp).reshape(len(subs), len(n))
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(
-    n: tuple[int, ...],
-    m_cap: int | None,
-    with_clutter: bool,
-    max_blocks: int | None,
-    max_clutter: int | None,
-) -> _Plan:
-    """The update's terms for every measurement set with label counts n.
+def _plan(n: tuple[int, ...], m_cap: int, c_cap: int) -> _Plan:
+    """The recursion for label counts n, blocks of at most m_cap labels and
+    clutter parts of at most c_cap.
 
-    Runs _signature_counts once over positions, position i standing for the
-    i-th smallest label, n[i] times. Mapping positions to labels is
-    monotone, so it keeps the sorted signature order, and a term's count
-    depends on n alone; only numpy arrays are kept.
+    Position i stands for the i-th smallest label, n[i] times. Mapping
+    positions to labels is monotone, so every order here holds for each
+    measurement set with the pattern n. A state's blocks are its smallest
+    position plus one of the sub-multisets of at most m_cap - 1 positions
+    that fit in what is left, so no state's sub-box is listed. Only numpy
+    arrays are kept.
     """
-    z = tuple(i for i, c in enumerate(n) for _ in range(c))
-    terms = sorted(
-        _signature_counts(
-            z, m_cap, with_clutter, max_blocks=max_blocks, max_clutter=max_clutter
-        ).items()
-    )
-    part_id, parts = _by_size({dropped for (dropped, _), _ in terms})
-    content_id, contents = _by_size({c for (_, blocks), _ in terms for c in blocks})
-    top = max((len(blocks) for (_, blocks), _ in terms), default=0)
-    where: list[list[int]] = [[] for _ in range(top + 1)]
-    ids: list[list[list[int]]] = [[] for _ in range(top + 1)]
-    for t, ((_, blocks), _) in enumerate(terms):
-        where[len(blocks)].append(t)
-        ids[len(blocks)].append([content_id[c] for c in blocks])
-    groups = tuple(
-        (
-            _frozen(np.array(w, dtype=np.intp)),
-            _frozen(np.array(b, dtype=np.intp).reshape(len(w), k)),
-        )
-        for k, (w, b) in enumerate(zip(where, ids))
-    )
-    values = sorted(content_id, key=content_id.get) + sorted(part_id, key=part_id.get)
-    members = np.zeros((len(values), len(n)), dtype=np.intp)
-    for row, positions in enumerate(values):
-        for i in positions:
-            members[row, i] += 1
+    r = len(n)
+    strides = np.array([math.prod(k + 1 for k in n[i + 1 :]) for i in range(r)], np.intp)
+    box = sorted(itertools.product(*(range(k + 1) for k in n)), key=sum)
+    states = np.array(box, dtype=np.intp)
+    rank = np.zeros(len(box), dtype=np.intp)  # state id by code, s @ strides
+    rank[states @ strides] = np.arange(len(box))
+    full = np.array(n, dtype=np.intp)
+    top = range(max(n, default=0) + 1)
+    comb = np.array([[math.comb(a, b) for b in top] for a in top], dtype=float)
+    # pairs: each nonempty state, less one copy of its smallest position,
+    # against every remainder of a block that fits (none when m_cap is 0)
+    steps = _sized(n, m_cap - 1)[1]
+    lead = np.array([next(i for i, c in enumerate(s) if c) for s in box[1:]], dtype=np.intp)
+    left = states[1:].copy()
+    left[np.arange(len(left)), lead] -= 1
+    fits = np.ones((len(left), len(steps)), dtype=bool)
+    for i in range(r):
+        fits &= steps[:, i] <= left[:, i, None]
+    at, step = np.nonzero(fits)
+    own = left[at]
+    blocks, block_vecs = _sized(n, m_cap)
+    blocks, block_vecs = tuple(blocks[1:]), block_vecs[1:]  # all but the empty one
+    block_id = np.full(len(box), -1, dtype=np.intp)
+    block_id[block_vecs @ strides] = np.arange(len(block_vecs))
+    parts, part_vecs = _sized(n, c_cap)
     return _Plan(
-        _frozen(np.array([float(cnt) for _, cnt in terms])),
-        _frozen(np.array([part_id[dropped] for (dropped, _), _ in terms], dtype=np.intp)),
-        _frozen(np.array([len(blocks) for (_, blocks), _ in terms], dtype=np.intp)),
-        groups,
-        contents,
-        parts,
-        _frozen(members),
+        _frozen(states.sum(axis=1)),
+        _frozen(at + 1),
+        _frozen(block_id[(steps[step] @ strides) + strides[lead[at]]]),
+        _frozen(rank[(own - steps[step]) @ strides]),
+        _frozen(np.prod(comb[own, steps[step]], axis=1)),
+        blocks,
+        tuple(parts),
+        _frozen(np.prod(comb[full, part_vecs], axis=1)),
+        _frozen(rank[(full - part_vecs) @ strides]),
+        _frozen(np.concatenate([block_vecs, part_vecs])),
     )
 
 
@@ -409,49 +433,80 @@ def _pattern(z: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.array(labels, dtype=np.intp), tuple(tally[i] for i in labels)
 
 
-def _group_vectors(plan: _Plan, labels: np.ndarray, kernel: ObservationKernel) -> list:
-    """The group vector of each distinct block content, in id order."""
-    return [kernel.group_vector(tuple(row)) for rows in plan.contents for row in labels[rows]]
+def _recursion(
+    kernel: ObservationKernel, z: Sequence[int], prune: bool, c_cap: int
+) -> tuple[np.ndarray, tuple[int, ...], _Plan, np.ndarray]:
+    """The labels, label counts and plan of the observation indices z, and
+    the group vector of each of the plan's blocks, stacked in block order.
 
-
-def _clutter_values(
-    plan: _Plan, labels: np.ndarray, clutter: MultiObjectDensity | None
-) -> np.ndarray:
-    """The clutter density at each distinct clutter part, in id order."""
-    if clutter is None:  # the one clutter part is empty
-        return np.ones(1)
-    values = [clutter.entries(labels[rows]) for rows in plan.parts]
-    return np.concatenate(values) if values else np.zeros(0)
-
-
-def _kept_products(plan: _Plan, vectors: np.ndarray, keep: np.ndarray) -> dict:
-    """The kept terms by block count, for every count up to the largest kept.
-
-    vectors stacks one group vector per content id. groups[k] = (positions
-    among the kept terms of those with k blocks, the packed level k of each
-    one's prod_i v_i[h]).
+    Blocks hold at most kernel.m_max labels when pruning and any number
+    otherwise; the vectors of those past m_max are zero.
     """
-    where = np.cumsum(keep) - 1
-    groups = {}
-    for k in range(int(plan.blocks[keep].max(initial=0)) + 1):
-        terms, ids = plan.groups[k]
-        sel = keep[terms]
-        groups[k] = (where[terms[sel]], linear_products(vectors[ids[sel]]))
-    return groups
+    labels, n = _pattern(z)
+    m = len(z)
+    plan = _plan(n, min(kernel.m_max, m) if prune else m, min(c_cap, m))
+    d = kernel.state_space.size
+    vectors = [np.zeros((0, d))] + [kernel.group_vectors(labels[rows]) for rows in plan.blocks]
+    return labels, n, plan, np.concatenate(vectors)
 
 
-def _block_functional(scales: np.ndarray, groups: dict) -> list[np.ndarray]:
-    """Packed levels of sum over terms of scale * prod_i v_i[h].
+def _scatter(index: np.ndarray, rows: np.ndarray, bins: int) -> np.ndarray:
+    """(bins, width) sums of the rows by index, each added in row order."""
+    width = rows.shape[1]
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, rows.ravel(), minlength=bins * width).reshape(bins, width)
 
-    Each level adds its terms one at a time in signature order (add.accumulate
-    never reassociates), so terms that are exactly zero, such as the blocks
-    pruning skips, leave it bitwise unchanged.
+
+def _levels(plan: _Plan, vectors: np.ndarray, values: np.ndarray, top: int) -> list[np.ndarray]:
+    """Levels 0..top of the sum over clutter parts c of values[c] *
+    prod_z C(n_z, c_z) * f(n - c).
+
+    f(S) sums prod_blocks v_b[h] over the set partitions of S, and its
+    level k holds the partitions into k blocks. Choosing first the block
+    that holds one copy of S's smallest label, F_k(S) = sum over S's
+    pairs of coef * v_b[h] * F_(k-1)(S - b), so level k of every state
+    comes from level k - 1 of every state: one gather, one
+    finite_pp.times_linear and one np.bincount, which adds in input order,
+    each state's pairs in their fixed order. Blocks whose vector is zero,
+    those past m_max when not pruning, therefore add exact zeros. Only
+    pairs whose rest can be nonzero at level k - 1, of k - 1 to
+    (k - 1) * (largest block) labels, are taken.
     """
+    count = len(plan.sizes)
+    cap = plan.blocks[-1].shape[1] if plan.blocks else 0
+    weights = plan.part_coef * values
+    reach = plan.sizes[plan.rest]
+    level = np.zeros((count, 1))
+    level[0] = 1.0
     out = []
-    for idx, products in groups.values():
-        rows = scales[idx, None] * products
-        out.append(np.add.accumulate(rows, axis=0)[-1] if len(rows) else rows.sum(axis=0))
+    for k in range(top + 1):
+        if k:
+            on = np.nonzero((reach >= k - 1) & (reach <= (k - 1) * cap))[0]
+            t = times_linear(level[plan.rest[on]], vectors[plan.block[on]], k)
+            level = _scatter(plan.state[on], t * plan.coef[on, None], count)
+        out.append((weights[:, None] * level[plan.part_rest]).sum(axis=0))
     return out
+
+
+def _partition_sums(plan: _Plan, s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(S) and g(S) for every state S, by the product rule over the pairs.
+
+    f(S) = sum over S's pairs of coef * s_b * f(S - b) sums prod_blocks s_b
+    over the set partitions of S. g(S) = sum of coef * (v_b * f(S - b) +
+    s_b * g(S - b)) sums v_i * prod_(j != i) s_j over the blocks i of each
+    partition. States are taken by size, so each rest is done before the
+    states it serves; no scalar is ever divided by.
+    """
+    count = len(plan.sizes)
+    f, g = np.zeros(count), np.zeros((count, v.shape[1]))
+    f[0] = 1.0
+    ends = np.searchsorted(plan.sizes[plan.state], np.arange(plan.sizes[-1] + 1), side="right")
+    for a, b in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        state, block, rest, coef = (x[a:b] for x in (plan.state, plan.block, plan.rest, plan.coef))
+        terms = v[block] * f[rest, None] + s[block, None] * g[rest]
+        g += _scatter(state, coef[:, None] * terms, count)
+        f += np.bincount(state, coef * s[block] * f[rest], minlength=count)
+    return f, g
 
 
 def _exponents(members: np.ndarray, peaks: np.ndarray) -> np.ndarray:
@@ -485,41 +540,33 @@ def _likelihood(
     n_max: int,
 ) -> tuple[int, tuple[np.ndarray, ...]]:
     """S and the packed levels W_0..W_K of 2^-S L[h], the likelihood
-    functional of the sorted observation indices z.
+    functional of the sorted observation indices z, K = min(n_max, |z|).
 
-    L[h] sums w * prod_i v_i[h] over the terms of z's plan within the caps
-    (kernel.m_max when pruning, n_max blocks, clutter.n_max clutter
-    labels), w being a term's count times the clutter density of its
-    clutter part; W_k holds the terms with k blocks, up to the largest
-    block count K with a nonzero weight. Each label z gets an exponent e_z
-    (_exponents). Every group vector and clutter value is divided by 2 to
-    the sum of e_z over its labels, exactly, and every term covers each
-    label of z once, so each term is divided by 2^S with S = sum_z n_z e_z:
-    a product of many small factors stays in range. The levels are summed
-    in signature order (_block_functional), so blocks that pruning skips
-    add exact zeros, and are frozen copies, since the cache hands them to
-    every caller.
+    L[h] sums, over the clutter parts c of z within clutter.n_max and the
+    set partitions of the rest, the clutter density at c times the
+    product of the blocks' group vectors v_b[h]; W_k holds the partitions
+    into k blocks. _levels sums it by the recursion over z's sub-multisets
+    (_plan). Each label z gets an exponent e_z (_exponents). Every group
+    vector and clutter value is divided by 2 to the sum of e_z over its
+    labels, exactly, and every term covers each label of z once, so each
+    term is divided by 2^S with S = sum_z n_z e_z: a product of many small
+    factors stays in range. The levels are frozen, since the cache hands
+    them to every caller.
     """
-    labels, n = _pattern(z)
-    plan = _plan(
-        n,
-        kernel.m_max if prune else None,
-        clutter is not None,
-        n_max,
-        None if clutter is None else clutter.n_max,
+    labels, n, plan, vectors = _recursion(
+        kernel, z, prune, 0 if clutter is None else clutter.n_max
     )
-    vectors = _group_vectors(plan, labels, kernel)
-    vectors = np.array(vectors).reshape(len(vectors), kernel.state_space.size)
-    values = _clutter_values(plan, labels, clutter)
+    if clutter is None:  # the one clutter part is empty
+        values = np.ones(1)
+    else:
+        values = np.concatenate([clutter.entries(labels[rows]) for rows in plan.parts])
     peaks = np.concatenate([np.abs(vectors).max(axis=1, initial=0.0), np.abs(values)])
     exponents = _exponents(plan.members, peaks)
     shifts = plan.members @ exponents
     vectors = np.ldexp(vectors, -shifts[: len(vectors), None])
     values = np.ldexp(values, -shifts[len(vectors) :])
-    weights = plan.counts * values[plan.clutter]
-    keep = weights != 0.0
-    levels = _block_functional(weights[keep], _kept_products(plan, vectors, keep))
-    return int(exponents @ n), tuple(_frozen(level.copy()) for level in levels)
+    levels = _levels(plan, vectors, values, min(n_max, len(z)))
+    return int(exponents @ n), tuple(_frozen(level) for level in levels)
 
 
 def _partition_engine(
@@ -612,39 +659,21 @@ def posterior_intensity_clutter(
 # ---------------------------------------------------------------------------
 
 
-def _poisson_terms(mu, kernel, Z, prune: bool):
-    """Z's plan without clutter, its group vectors and the scalars mu[v]."""
-    labels, n = _pattern(kernel.obs_space.indices(Z))
-    plan = _plan(n, kernel.m_max if prune else None, False, None, None)
-    vectors = _group_vectors(plan, labels, kernel)
-    return plan, vectors, [float(mu @ v) for v in vectors]
+def _poisson_update(mu, kernel, Z, prune: bool):
+    """Z's plan without clutter, its group vectors, the closed-form posterior
+    intensity and the partition sum it divides by.
 
-
-def _poisson_intensity(mu, p0, plan, vectors, scalars, Z) -> tuple[np.ndarray, float]:
-    """Closed-form posterior intensity and the partition sum it divides by.
-
-    M_1(x) = mu(x) * sum over partitions of
-    [prod_i mu[P_i] * p0(x) + sum_i prod_{j != i} mu[P_j] * P_i(x)],
-    normalized by the partition sum of plain products. The replaced factor is
-    expanded without dividing by mu[P_i] so zero-mass blocks stay harmless.
+    M_1(x) = mu(x) * sum over partitions of [prod_i mu[P_i] * p0(x) +
+    sum_i prod_(j != i) mu[P_j] * P_i(x)], normalized by the partition sum
+    of plain products; _partition_sums gives both sums as f(Z) and g(Z),
+    with no block divided by its mu[P_i], so zero-mass blocks stay harmless.
     """
-    contents: list = [None] * len(plan.counts)  # each term's content ids
-    for terms, ids in plan.groups:
-        for t, row in zip(terms.tolist(), ids.tolist()):
-            contents[t] = row
-    den = 0.0
-    acc = np.zeros(mu.size)
-    for cnt, row in zip(plan.counts.tolist(), contents):
-        factors = [scalars[j] for j in row]
-        prod_all = math.prod(factors)
-        den += cnt * prod_all
-        bracket = prod_all * p0
-        for i, j in enumerate(row):
-            bracket = bracket + math.prod(factors[:i] + factors[i + 1 :]) * vectors[j]
-        acc += cnt * bracket
-    if not den > 0.0:
+    _, _, plan, vectors = _recursion(kernel, kernel.obs_space.indices(Z), prune, 0)
+    f, g = _partition_sums(plan, vectors @ mu, vectors)
+    total = float(f[-1])
+    if not total > 0.0:
         raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
-    return mu * acc / den, den
+    return plan, vectors, mu * (total * kernel.tables[0] + g[-1]) / total, total
 
 
 def poisson_posterior(
@@ -669,15 +698,12 @@ def poisson_posterior(
     mu = _as_test_function(kernel.state_space, spec.intensity)
     n_max = _poisson_cap(spec, float(mu.sum()), n_max)
     p0 = kernel.tables[0]
-    plan, vectors, scalars = _poisson_terms(mu, kernel, Z, prune)
-    intensity, partition_total = _poisson_intensity(mu, p0, plan, vectors, scalars, Z)
+    plan, vectors, intensity, partition_total = _poisson_update(mu, kernel, Z, prune)
     d = kernel.state_space.size
     nu = mu * p0
     scale = math.exp(-float(nu.sum())) / partition_total
-    keep = plan.blocks <= n_max
-    groups = _kept_products(plan, mu * np.array(vectors).reshape(len(vectors), d), keep)
-    block = _block_functional(plan.counts[keep] * scale, groups)
-    packed = multiply(block, exp_coefficients(nu, n_max), n_max, d)
+    levels = _levels(plan, mu * vectors, np.ones(1), min(n_max, len(Z)))
+    packed = multiply([w * scale for w in levels], exp_coefficients(nu, n_max), n_max, d)
     density = MultiObjectDensity._from_packed(kernel.state_space, packed)
     density.truncation_mass = max(0.0, 1.0 - density.total_mass())
     log_evidence = float(mu @ (p0 - 1.0)) + math.log(partition_total)
@@ -699,5 +725,4 @@ def poisson_posterior_intensity(
     if not isinstance(spec, PoissonSpec):
         spec = PoissonSpec(np.asarray(spec, dtype=float))
     mu = _as_test_function(kernel.state_space, spec.intensity)
-    plan, vectors, scalars = _poisson_terms(mu, kernel, Z, prune)
-    return _poisson_intensity(mu, kernel.tables[0], plan, vectors, scalars, Z)[0]
+    return _poisson_update(mu, kernel, Z, prune)[2]

@@ -15,6 +15,7 @@ vector and a differential is a shift of the coefficients.
 The layout is known to this module alone: the index tables, pack/unpack
 and the kernels the engines call. multiply() is the one product of two
 functionals (superposition, prediction and the update numerators),
+times_linear() the product with one linear functional v[h], row by row,
 linear_products() the coefficients of products of linear functionals,
 exp_coefficients() those of exp(v[h]), derivatives() the variations of a
 functional at a base test function, pairings() their values at given
@@ -344,6 +345,11 @@ def _symmetrized(arr: np.ndarray, n: int) -> np.ndarray:
     return np.take(_orbit_mean(arr, n), _dense_index(d, n), axis=1).reshape(arr.shape)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _pack(arr: np.ndarray, n: int, mean: bool) -> np.ndarray:
     """One packed level from a dense (d,)*n array: the orbit mean, or the
     entry at each sorted index tuple."""
@@ -366,10 +372,10 @@ class MultiObjectDensity:
     dropped past n_max by whatever operation built the instance.
 
     The levels are read-only: numpy's writeable flag is off on each packed
-    level and dense view, so writing into one raises ValueError. Operations
-    return new densities; the cached dense view, and the update's
-    likelihood cache keyed on a clutter density, rely on its levels never
-    changing.
+    level, dense view and the cardinality distribution, so writing into one
+    raises ValueError. Operations return new densities; the cached dense
+    view and cardinality distribution, and the update's likelihood cache
+    keyed on a clutter density, rely on its levels never changing.
     """
 
     def __init__(
@@ -415,6 +421,7 @@ class MultiObjectDensity:
         self.packed = packed
         self.truncation_mass = float(truncation_mass)
         self._dense: list[np.ndarray] | None = None
+        self._cardinality: np.ndarray | None = None
 
     @property
     def n_max(self) -> int:
@@ -457,9 +464,13 @@ class MultiObjectDensity:
         return float(self.cardinality_distribution().sum())
 
     def cardinality_distribution(self) -> np.ndarray:
-        """sum over alpha of c(alpha)/alpha! per level."""
-        d = self.space.size
-        return np.array([c @ _level(d, n).inv_fact for n, c in enumerate(self.packed)])
+        """sum over alpha of c(alpha)/alpha! per level, read-only, computed on
+        first use."""
+        if self._cardinality is None:
+            d = self.space.size
+            card = np.array([c @ _level(d, n).inv_fact for n, c in enumerate(self.packed)])
+            self._cardinality = _frozen(card)
+        return self._cardinality
 
     def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
         return abs(self.total_mass() - 1.0) <= tol
@@ -707,17 +718,27 @@ def multiply(
     return _levels(np.bincount(ti, weights=terms, minlength=off[-1]), off)
 
 
-def linear_products(vectors: np.ndarray) -> np.ndarray:
-    """Level k of prod_i v_i[h], one row per term of a (terms, k, d) stack.
+def times_linear(t: np.ndarray, vectors: np.ndarray, k: int) -> np.ndarray:
+    """Level k of t[h] * v[h], one row per term: t holds level k - 1 on d
+    points, one row per term, and vectors one v per row.
 
-    Multiplying by one linear functional v[h] maps t to
     t'(alpha) = sum_x alpha_x t(alpha - e_x) v(x), a sum over the positions
-    of alpha's tuple; rows never mix.
+    of alpha's tuple, added in position order; rows never mix.
     """
-    terms, k, d = vectors.shape
+    d = vectors.shape[1]
+    drop, tuples = _drop(d, k), _level(d, k).tuples
+    out = t[:, drop[:, 0]] * vectors[:, tuples[:, 0]]
+    for p in range(1, k):
+        out += t[:, drop[:, p]] * vectors[:, tuples[:, p]]
+    return out
+
+
+def linear_products(vectors: np.ndarray) -> np.ndarray:
+    """Level k of prod_i v_i[h], one row per term of a (terms, k, d) stack."""
+    terms, k, _ = vectors.shape
     t = np.ones((terms, 1))
     for i in range(k):
-        t = (t[:, _drop(d, i + 1)] * vectors[:, i, _level(d, i + 1).tuples]).sum(axis=2)
+        t = times_linear(t, vectors[:, i], i + 1)
     return t
 
 

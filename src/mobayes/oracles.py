@@ -9,7 +9,8 @@ posterior_direct), numeric differentiation of the joint functional
 (posterior_bivariate), power-series coefficients of the joint functional
 (posterior_power_series), which reaches the measurement counts the engine
 does, a walk over every set partition (signature_counts_by_set_partitions,
-the counting oracle for the engine's signature enumeration), and explicit
+the counting oracle for bayes._signature_counts, the counting reference of
+the update's recursion), and explicit
 Chapman-Kolmogorov transition tables (TransitionModel,
 build_multiplicative, conditional_slice, predicted_entry), which hold
 d^(n+m) entries and suit small spaces only, and the dense coefficient

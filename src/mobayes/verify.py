@@ -5,7 +5,8 @@ observed deviation against a stated tolerance. Levels: "fast" keeps spaces
 at two points and measurement sets at three, sized to finish in seconds;
 "full" raises sizes to three states and four measurements and multiplies
 instance counts. The power-series check, whose oracle is not brute force,
-reaches seven measurements (fast) and ten (full). Every update check calls
+reaches seven measurements (fast) and ten (full); at full it adds distinct
+labels emitted in pairs, up to twelve measurements. Every update check calls
 the one partition-sum engine, posterior_partition_clutter, passing
 clutter=None where its instance has no clutter process. Those update
 checks draw their instances from one sampler, _update_instances, which
@@ -20,6 +21,7 @@ inf.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -142,18 +144,39 @@ def check_clutter_update_against_direct(level: str) -> tuple[float, str]:
     return worst, f"{count} instances, alternating explicit/Poisson clutter"
 
 
+def _distinct_label_instances(sizes: tuple[int, ...]):
+    """Yield (prior, kernel, clutter, Z) with Z every label of an m-label
+    observation space once, for each m in sizes: three states, up to six
+    objects emitting blocks of up to two labels, up to six clutter points."""
+    rng = np.random.default_rng(1112)
+    X = inst.space(3)
+    for m in sizes:
+        Zs = inst.space(m, "z")
+        prior = inst.random_density(rng, X, 6)
+        kernel = inst.random_kernel(rng, X, Zs, 2)
+        clutter = inst.random_poisson_clutter(rng, Zs, n_max=6)
+        yield prior, kernel, clutter, list(Zs.labels)
+
+
 def check_update_against_power_series(level: str) -> tuple[float, str]:
     """The engine past the reach of brute force, against the power series."""
     count = _sweep_sizes(level, 12, 30)
     m_top = 7 if level == "fast" else 10
+    distinct = () if level == "fast" else (8, 10, 12)
     worst = 0.0
-    instances = _update_instances(level, 1111, count, _alternating_clutter(4, 4), m_top=m_top)
-    for _, prior, kernel, clutter, Z in instances:
+    drawn = _update_instances(level, 1111, count, _alternating_clutter(4, 4), m_top=m_top)
+    instances = itertools.chain(
+        (instance[1:] for instance in drawn), _distinct_label_instances(distinct)
+    )
+    for prior, kernel, clutter, Z in instances:
         a = posterior_partition_clutter(prior, kernel, clutter, Z)
         b = posterior_power_series(prior, kernel, Z, clutter)
         worst = max(worst, _tensor_gap(a.density, b.density))
         worst = max(worst, abs(a.log_evidence - b.log_evidence))
-    return worst, f"{count} instances, |Z| up to {m_top}"
+    detail = f"{count} instances, |Z| up to {m_top}"
+    if distinct:
+        detail += f"; distinct labels in blocks of two, |Z| = {', '.join(map(str, distinct))}"
+    return worst, detail
 
 
 def check_intensity_three_ways(level: str) -> tuple[float, str]:
@@ -338,12 +361,9 @@ def check_prediction(level: str) -> tuple[float, str]:
     f = np.full((d, d), 1.0 / d)
     mu_post = poisson(PoissonSpec(lam), sp, n_max=4)
     bpois = poisson(PoissonSpec(bint), sp, n_max=4)
-    model = build_multiplicative(p_s, f, bpois, n_max=8, m_max=4, max_dropped=1e-4)
-    pred = predict(mu_post, model, max_dropped=1e-4)
+    pred = predict(mu_post, SurviveMoveBirth(p_s, f, bpois, n_max=8), max_dropped=1e-4)
     target = bint + f @ (p_s * lam)
-    budget = 25 * (
-        pred.truncation_mass + mu_post.truncation_mass + model.truncation_mass + 1e-12
-    )
+    budget = 25 * (pred.truncation_mass + mu_post.truncation_mass + 1e-12)
     gap = float(np.max(np.abs(pred.intensity_vector() - target)))
     err = max(0.0, gap - budget)
     worst = max(worst, err)

@@ -318,6 +318,38 @@ class TestPartitionUpdate:
         assert time.perf_counter() - start < 1.0
         assert abs(post.density.total_mass() - 1.0) < 1e-10
 
+    def test_twelve_distinct_labels_in_pairs(self):
+        """Twelve distinct labels, blocks of up to two, six objects and up
+        to six clutter points: 1,611,456 signatures, which the signature
+        walk took 15 s over and a 1.06 GiB array to evaluate. The recursion
+        visits 4,096 states and 24,576 (state, block) pairs. A cold update
+        (plan and likelihood caches cleared) must finish within 5 s and
+        trace at most 64 MiB at its peak (0.12 s and 20 MiB measured on a
+        2-core machine), and agree with the power series to 1e-10 in log
+        evidence and in every packed entry."""
+        rng = np.random.default_rng(99)
+        X, Zs = space(3), space(12, "z")
+        prior = random_density(rng, X, 6)
+        kernel = random_kernel(rng, X, Zs, 2)
+        clutter = random_poisson_clutter(rng, Zs, n_max=6)
+        Z = list(Zs.labels)
+        clear_update_caches()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            post = posterior_partition_clutter(prior, kernel, clutter, Z)
+            took = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert took < 5.0
+        assert peak < 64 * 2**20
+        series = posterior_power_series(prior, kernel, Z, clutter)
+        assert abs(post.log_evidence - series.log_evidence) < 1e-10
+        for a, b in zip(post.density.packed, series.density.packed):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
 
 def assert_same_posterior(a, b) -> None:
     """Bitwise equality of packed levels, intensity and log evidence."""
@@ -341,7 +373,7 @@ def cache_misses():
 
 
 class TestUpdatePlan:
-    """The signature walk is cached per label-count pattern (bayes._plan)
+    """The recursion's plan is cached per label-count pattern (bayes._plan)
     and the likelihood functional per measurement set and sensor model
     (bayes._likelihood); a plan built for one measurement set must serve
     every other set with the same pattern, and nothing may depend on
@@ -381,7 +413,9 @@ class TestUpdatePlan:
 
     def test_prior_caps_key_the_plan(self):
         """Priors with different n_max cap the block count differently, so
-        they must not share a plan or a likelihood functional."""
+        they must not share a likelihood functional. The plan does not
+        depend on that cap (the value pass stops at it), so they share
+        one plan."""
         rng = np.random.default_rng(96)
         X, Zs = space(2), space(2, "z")
         kernel = random_kernel(rng, X, Zs, 1)
@@ -393,7 +427,7 @@ class TestUpdatePlan:
         clear_update_caches()
         posterior_partition_clutter(large, kernel, clutter, Z)
         warm = posterior_partition_clutter(small, kernel, clutter, Z)
-        assert mobayes.bayes._plan.cache_info().currsize == 2
+        assert mobayes.bayes._plan.cache_info().currsize == 1
         assert mobayes.bayes._likelihood.cache_info().currsize == 2
         assert_same_posterior(cold, warm)
 
@@ -405,15 +439,18 @@ class TestUpdatePlan:
         prior = random_density(rng, X, 2)
         kernel = random_kernel(rng, X, Zs, 2)
         post = posterior_partition_clutter(prior, kernel, None, ["za"])
-        for level in (kernel.tables[1], prior.packed[1], post.density.packed[1]):
+        card = post.density.cardinality_distribution()
+        assert post.density.cardinality_distribution() is card  # computed once
+        for level in (kernel.tables[1], prior.packed[1], post.density.packed[1], card):
             with pytest.raises(ValueError, match="read-only"):
                 level[0] = 0.5
 
     def test_large_pattern_plan_holds_arrays_only(self):
         """Eight distinct labels, two per object, up to six objects and six
-        clutter points: 7,147 terms, about 0.46 MB of plan arrays. The plan
-        that stays cached must stay below the 1.2 MiB the walk's own tuples
-        take, and the warm update must equal the cold one bitwise."""
+        clutter points: 256 states, 1,024 (state, block) pairs, 36 blocks
+        and 247 clutter parts, where the signature walk listed 7,147 terms.
+        What stays cached must stay below 1 MiB, and the warm update must
+        equal the cold one bitwise."""
         rng = np.random.default_rng(97)
         X, Zs = space(3), space(8, "z")
         prior = random_density(rng, X, 6)
@@ -433,8 +470,9 @@ class TestUpdatePlan:
             warm_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        plan = mobayes.bayes._plan((1,) * 8, 2, True, 6, 6)
-        assert len(plan.counts) == 7147
+        plan = mobayes.bayes._plan((1,) * 8, 2, 6)
+        assert (len(plan.sizes), len(plan.state)) == (256, 1024)
+        assert sum(map(len, plan.blocks)) == 36 and len(plan.part_coef) == 247
         assert kept < 2**20
         assert cold_peak < 16 * 2**20 and warm_peak < 16 * 2**20
         assert_same_posterior(cold, warm)
@@ -643,26 +681,18 @@ class TestPoissonClosedForms:
             poisson_posterior_intensity(spec, kernel, []), nu, atol=1e-12
         )
 
-    def test_one_signature_pass_per_update(self, monkeypatch):
-        """A cold update walks the signatures once; a measurement set with
-        the same label counts in sorted-label order reuses the plan."""
+    def test_one_signature_pass_per_update(self):
+        """A cold update builds the recursion's plan once; a measurement set
+        with the same label counts in sorted-label order reuses it."""
         rng = np.random.default_rng(92)
         lam, spec, kernel = self._instance(rng, d_z=3)
-        calls = []
-        original = mobayes.bayes._signature_counts
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(mobayes.bayes, "_signature_counts", counted)
         clear_update_caches()
         poisson_posterior(spec, kernel, ["za", "zb", "za"])
-        assert len(calls) == 1
+        assert cache_misses()[0] == 1
         poisson_posterior(spec, kernel, ["zb", "zc", "zb"])  # counts (2, 1) again
-        assert len(calls) == 1
+        assert cache_misses()[0] == 1
         poisson_posterior(spec, kernel, ["zc", "zb", "zc"])  # counts (1, 2)
-        assert len(calls) == 2
+        assert cache_misses()[0] == 2
 
     @pytest.mark.parametrize("n_max", [-1, mobayes.finite_pp.MAX_TENSOR_AXES + 1])
     def test_refuses_the_caps_poisson_refuses(self, n_max):

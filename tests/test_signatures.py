@@ -1,9 +1,13 @@
-"""The engine's signature enumeration against the set-partition walk.
+"""The update's recursion and the counting reference against the
+set-partition walk.
 
 bayes._signature_counts walks partitions of the measurement multiset and
 counts in closed form; oracles.signature_counts_by_set_partitions walks every
 (subset, set partition) pair. They must agree as Counters on every
-label-count pattern up to nine measurements on four labels.
+label-count pattern up to nine measurements on four labels. The recursion
+the updates run (bayes._plan, _levels, _partition_sums) lists no term; with
+every block value and clutter value set to one, its sums are counts of
+terms, and they must equal the walk's, capped as the updates cap them.
 
 The walk over m distinct labels lists each pair once, keyed by positions.
 Relabeling those keys through a pattern's labels, and dropping the keys a
@@ -14,13 +18,19 @@ shortcut is itself checked against the oracle called directly on small m.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import mobayes.bayes
-from mobayes import poisson_posterior, posterior_partition_clutter
-from mobayes.bayes import _signature_counts
+from mobayes import (
+    poisson_posterior,
+    poisson_posterior_intensity,
+    posterior_intensity_clutter,
+    posterior_partition_clutter,
+)
+from mobayes.bayes import _levels, _partition_sums, _plan, _signature_counts
 from mobayes.instances import random_density, random_kernel, random_poisson_clutter, space
 from mobayes.oracles import signature_counts_by_set_partitions
 
@@ -91,28 +101,67 @@ def test_counts_match_the_set_partition_walk(m):
                 assert all(type(n) is int and n > 0 for n in got.values())
 
 
+def unit_plan(z, m_cap, c_cap):
+    """The plan of z's label-count pattern with both caps cut to |z|, as the
+    updates cut them, and a vector of ones on a one-point space per block."""
+    m = len(z)
+    plan = _plan(
+        tuple(z.count(i) for i in sorted(set(z))),
+        m if m_cap is None else min(m_cap, m),
+        m if c_cap is None else min(c_cap, m),
+    )
+    return plan, np.ones((sum(map(len, plan.blocks)), 1))
+
+
 @pytest.mark.parametrize("m", range(M_TOP + 1))
 def test_pruned_walk_is_the_filtered_walk(m):
+    """The value pass capped at `top` blocks and `c_top` clutter labels is
+    the walk's terms filtered by those caps. On one state with unit block
+    vectors, a partition into k blocks adds k! to level k's one entry."""
     for z in label_patterns(m):
         for cap in CAPS:
             for wc in (True, False):
                 full = _signature_counts(z, cap, wc)
                 for top, c_top in ((0, 0), (2, 1), (3, None), (None, 2)):
-                    pruned = _signature_counts(z, cap, wc, max_blocks=top, max_clutter=c_top)
-                    assert pruned == {
-                        (dropped, blocks): n
-                        for (dropped, blocks), n in full.items()
-                        if (top is None or len(blocks) <= top)
-                        and (c_top is None or len(dropped) <= c_top)
-                    }, (z, cap, wc, top, c_top)
+                    plan, ones = unit_plan(z, cap, c_top if wc else 0)
+                    k_top = m if top is None else min(top, m)
+                    levels = _levels(plan, ones, np.ones(len(plan.part_coef)), k_top)
+                    want = [0] * (k_top + 1)
+                    for (dropped, blocks), n in full.items():
+                        if len(blocks) <= k_top and (c_top is None or len(dropped) <= c_top):
+                            want[len(blocks)] += n
+                    got = [level[0] / math.factorial(k) for k, level in enumerate(levels)]
+                    assert got == want, (z, cap, wc, top, c_top)
+
+
+@pytest.mark.parametrize("m", range(M_TOP + 1))
+def test_scalar_pass_counts_the_walk(m):
+    """With every block value set to one, f(S) counts the set partitions of
+    S and g(S) their blocks; over the clutter parts they sum the walk's
+    counts, and those counts times each term's block count."""
+    for z in label_patterns(m):
+        for cap in CAPS:
+            for wc in (True, False):
+                plan, ones = unit_plan(z, cap, None if wc else 0)
+                f, g = _partition_sums(plan, ones[:, 0], ones)
+                walk = _signature_counts(z, cap, wc)
+                assert plan.part_coef @ f[plan.part_rest] == sum(walk.values())
+                assert plan.part_coef @ g[plan.part_rest, 0] == sum(
+                    n * len(blocks) for (_, blocks), n in walk.items()
+                )
 
 
 def test_updates_walk_no_set_partition(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("set partitions walked")
+    """No update entry point walks set partitions or signatures, even with
+    its plan and likelihood built cold."""
 
-    monkeypatch.setattr(mobayes.bayes, "partitions", refuse)
-    monkeypatch.setattr(mobayes.bayes, "subsets", refuse)
+    def refuse(*args, **kwargs):
+        raise AssertionError("set partitions or signatures walked")
+
+    for name in ("partitions", "subsets", "_signature_counts"):
+        monkeypatch.setattr(mobayes.bayes, name, refuse)
+    mobayes.bayes._plan.cache_clear()
+    mobayes.bayes._likelihood.cache_clear()
     rng = np.random.default_rng(12)
     X, Zs = space(2), space(2, "z")
     prior = random_density(rng, X, 3)
@@ -121,4 +170,7 @@ def test_updates_walk_no_set_partition(monkeypatch):
     Z = ["za", "zb", "za", "za"]
     post = posterior_partition_clutter(prior, kernel, clutter, Z)
     assert abs(post.density.total_mass() - 1.0) < 1e-12
+    intensity = posterior_intensity_clutter(prior, kernel, None, Z, prune=False)
+    assert np.all(np.isfinite(intensity))
     assert np.isfinite(poisson_posterior([0.4, 0.3], kernel, Z).log_evidence)
+    assert np.all(np.isfinite(poisson_posterior_intensity([0.4, 0.3], kernel, Z)))
