@@ -362,7 +362,7 @@ class _Plan(NamedTuple):
     members: np.ndarray  # each block's, then each part's, count of every position
 
 
-def _sized(n: tuple[int, ...], room: int) -> tuple[list, np.ndarray]:
+def _sized(n: tuple[int, ...], room: int) -> tuple[tuple, np.ndarray]:
     """The sub-multisets of at most `room` positions, position i holding
     n[i] copies, ordered by size and then positions: their positions as one
     frozen (count, size) array per size, and their count vectors."""
@@ -371,7 +371,8 @@ def _sized(n: tuple[int, ...], room: int) -> tuple[list, np.ndarray]:
     for size, rows in groupby((lab for lab, _, _ in subs), key=len):
         rows = list(rows)
         groups.append(_frozen(np.array(rows, dtype=np.intp).reshape(len(rows), size)))
-    return groups, np.array([vec for _, vec, _ in subs], dtype=np.intp).reshape(len(subs), len(n))
+    vecs = np.array([vec for _, vec, _ in subs], dtype=np.intp).reshape(len(subs), len(n))
+    return tuple(groups), vecs
 
 
 @functools.lru_cache(maxsize=64)
@@ -407,7 +408,7 @@ def _plan(n: tuple[int, ...], m_cap: int, c_cap: int) -> _Plan:
     at, step = np.nonzero(fits)
     own = left[at]
     blocks, block_vecs = _sized(n, m_cap)
-    blocks, block_vecs = tuple(blocks[1:]), block_vecs[1:]  # all but the empty one
+    blocks, block_vecs = blocks[1:], block_vecs[1:]  # all but the empty one
     block_id = np.full(len(box), -1, dtype=np.intp)
     block_id[block_vecs @ strides] = np.arange(len(block_vecs))
     parts, part_vecs = _sized(n, c_cap)
@@ -418,7 +419,7 @@ def _plan(n: tuple[int, ...], m_cap: int, c_cap: int) -> _Plan:
         _frozen(rank[(own - steps[step]) @ strides]),
         _frozen(np.prod(comb[own, steps[step]], axis=1)),
         blocks,
-        tuple(parts),
+        parts,
         _frozen(np.prod(comb[full, part_vecs], axis=1)),
         _frozen(rank[(full - part_vecs) @ strides]),
         _frozen(np.concatenate([block_vecs, part_vecs])),
