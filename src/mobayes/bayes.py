@@ -114,6 +114,7 @@ from .finite_pp import (
     _symmetrized,
     derivatives,
     exp_coefficients,
+    inverse_factorials,
     multiply,
     pairings,
     symmetrize,  # unused here; bench/spans.py wraps mobayes.bayes.symmetrize
@@ -121,6 +122,9 @@ from .finite_pp import (
 )
 
 MeasurementSet = Sequence[str | int]
+# Row entries (pairs times coefficients per row) that one chunk of a level's
+# pairs holds in _levels; each temporary of a chunk is about this many floats.
+CHUNK_ENTRIES = 2**16
 
 
 class ZeroEvidence(RuntimeError):
@@ -406,7 +410,13 @@ def _plan(n: tuple[int, ...], m_cap: int, c_cap: int) -> _Plan:
     for i in range(r):
         fits &= steps[:, i] <= left[:, i, None]
     at, step = np.nonzero(fits)
-    own = left[at]
+    # per-pair values from per-state and per-step codes, with no (pairs,
+    # positions) array: codes are linear, and the coefficient is a product
+    # of exact integers taken one position at a time
+    step_code = steps @ strides
+    coef = np.ones(len(at))
+    for i in range(r):
+        coef *= comb[left[at, i], steps[step, i]]
     blocks, block_vecs = _sized(n, m_cap)
     blocks, block_vecs = blocks[1:], block_vecs[1:]  # all but the empty one
     block_id = np.full(len(box), -1, dtype=np.intp)
@@ -415,9 +425,9 @@ def _plan(n: tuple[int, ...], m_cap: int, c_cap: int) -> _Plan:
     return _Plan(
         _frozen(states.sum(axis=1)),
         _frozen(at + 1),
-        _frozen(block_id[(steps[step] @ strides) + strides[lead[at]]]),
-        _frozen(rank[(own - steps[step]) @ strides]),
-        _frozen(np.prod(comb[own, steps[step]], axis=1)),
+        _frozen(block_id[step_code[step] + strides[lead[at]]]),
+        _frozen(rank[(left @ strides)[at] - step_code[step]]),
+        _frozen(coef),
         blocks,
         parts,
         _frozen(np.prod(comb[full, part_vecs], axis=1)),
@@ -458,6 +468,22 @@ def _scatter(index: np.ndarray, rows: np.ndarray, bins: int) -> np.ndarray:
     return np.bincount(flat, rows.ravel(), minlength=bins * width).reshape(bins, width)
 
 
+def _chunks(state: np.ndarray, rows: int):
+    """(start, stop) ranges over pairs sorted by state, of at most `rows`
+    pairs each and cut only where the state changes; a state with more
+    pairs than that gets a range of its own."""
+    lo, count = 0, len(state)
+    while lo < count:
+        hi = lo + rows
+        if hi >= count:
+            hi = count
+        elif state[hi - 1] == state[hi]:
+            cut = int(np.searchsorted(state, state[hi], side="left"))
+            hi = cut if cut > lo else int(np.searchsorted(state, state[hi], side="right"))
+        yield lo, hi
+        lo = hi
+
+
 def _levels(plan: _Plan, vectors: np.ndarray, values: np.ndarray, top: int) -> list[np.ndarray]:
     """Levels 0..top of the sum over clutter parts c of values[c] *
     prod_z C(n_z, c_z) * f(n - c).
@@ -471,9 +497,11 @@ def _levels(plan: _Plan, vectors: np.ndarray, values: np.ndarray, top: int) -> l
     each state's pairs in their fixed order. Blocks whose vector is zero,
     those past m_max when not pruning, therefore add exact zeros. Only
     pairs whose rest can be nonzero at level k - 1, of k - 1 to
-    (k - 1) * (largest block) labels, are taken.
+    (k - 1) * (largest block) labels, are taken, in chunks of about
+    CHUNK_ENTRIES row entries cut at state boundaries: each state's sum
+    stays in one chunk, in the same order, so chunking changes no bit.
     """
-    count = len(plan.sizes)
+    count, d = len(plan.sizes), vectors.shape[1]
     cap = plan.blocks[-1].shape[1] if plan.blocks else 0
     weights = plan.part_coef * values
     reach = plan.sizes[plan.rest]
@@ -483,8 +511,14 @@ def _levels(plan: _Plan, vectors: np.ndarray, values: np.ndarray, top: int) -> l
     for k in range(top + 1):
         if k:
             on = np.nonzero((reach >= k - 1) & (reach <= (k - 1) * cap))[0]
-            t = times_linear(level[plan.rest[on]], vectors[plan.block[on]], k)
-            level = _scatter(plan.state[on], t * plan.coef[on, None], count)
+            width = math.comb(d + k - 1, k)
+            state = plan.state[on]
+            below, level = level, np.zeros((count, width))
+            for lo, hi in _chunks(state, max(1, CHUNK_ENTRIES // width)):
+                at = on[lo:hi]
+                t = times_linear(below[plan.rest[at]], vectors[plan.block[at]], k)
+                first, last = int(state[lo]), int(state[hi - 1]) + 1
+                level[first:last] = _scatter(state[lo:hi] - first, t * plan.coef[at, None], last - first)
         out.append((weights[:, None] * level[plan.part_rest]).sum(axis=0))
     return out
 
@@ -532,14 +566,13 @@ def _exponents(members: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     return np.array([0 if e is None else e for e in scale], dtype=np.intp)
 
 
-@functools.lru_cache(maxsize=64)
-def _likelihood(
+def _functional(
     kernel: ObservationKernel,
     clutter: MultiObjectDensity | None,
     z: tuple[int, ...],
     prune: bool,
     n_max: int,
-) -> tuple[int, tuple[np.ndarray, ...]]:
+) -> tuple[int, list[np.ndarray]]:
     """S and the packed levels W_0..W_K of 2^-S L[h], the likelihood
     functional of the sorted observation indices z, K = min(n_max, |z|).
 
@@ -551,8 +584,7 @@ def _likelihood(
     vector and clutter value is divided by 2 to the sum of e_z over its
     labels, exactly, and every term covers each label of z once, so each
     term is divided by 2^S with S = sum_z n_z e_z: a product of many small
-    factors stays in range. The levels are frozen, since the cache hands
-    them to every caller.
+    factors stays in range.
     """
     labels, n, plan, vectors = _recursion(
         kernel, z, prune, 0 if clutter is None else clutter.n_max
@@ -566,39 +598,42 @@ def _likelihood(
     shifts = plan.members @ exponents
     vectors = np.ldexp(vectors, -shifts[: len(vectors), None])
     values = np.ldexp(values, -shifts[len(vectors) :])
-    levels = _levels(plan, vectors, values, min(n_max, len(z)))
-    return int(exponents @ n), tuple(_frozen(level) for level in levels)
+    return int(exponents @ n), _levels(plan, vectors, values, min(n_max, len(z)))
 
 
-def _partition_engine(
-    prior: MultiObjectDensity,
+@functools.lru_cache(maxsize=64)
+def _likelihood(
     kernel: ObservationKernel,
-    Z: MeasurementSet,
     clutter: MultiObjectDensity | None,
+    z: tuple[int, ...],
     prune: bool,
-    spare: int = 0,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Log evidence and the normalized block functional of the update.
+    n_max: int,
+) -> tuple[int, np.ndarray]:
+    """S and 2^-S l_Z, levels 0..n_max concatenated: the Janossy likelihood
+    g(Z | alpha) of the sorted observation indices z at every multiset
+    alpha of at most n_max objects.
 
-    Reads S and W_0..W_K of 2^-S L[h] from _likelihood, which depend on Z,
-    the sensor model and prior.n_max only, and does the prior's work: the
-    variations D_0..D_(K + spare) at the missed-detection profile and the
-    scaled evidence E = sum_k pairings(D_k, W_k), the true evidence times
-    2^-S. With (m, e) = frexp(E) the log evidence is log m + (e + S) log 2,
-    and B_k = W_k / E; powers of two scale exactly, so neither depends on S.
-    Returns the log evidence, B_0..B_K and the variations.
+    l_Z = finite_pp.multiply(W, exp(p0[h])), W from _functional: each
+    object not in a block of the partition is missed. It depends on Z and
+    the sensor model only, so an update is the prior's coefficients times
+    l_Z. The array is frozen, since the cache hands it to every caller.
     """
-    _check_update_spaces(prior, kernel, clutter)
-    z = tuple(sorted(kernel.obs_space.indices(Z)))
-    shift, levels = _likelihood(kernel, clutter, z, prune, prior.n_max)
-    d = prior.space.size
-    D = derivatives(prior.packed, kernel.tables[0], len(levels) - 1 + spare)
-    evidence = sum(float(pairings(D[k], w[None], d, k)[0]) for k, w in enumerate(levels))
+    shift, levels = _functional(kernel, clutter, z, prune, n_max)
+    p0 = kernel.tables[0]
+    ell = multiply(levels, exp_coefficients(p0, n_max), n_max, p0.size).flat
+    return shift, _frozen(ell)
+
+
+def _positive(evidence: float, Z: MeasurementSet) -> float:
+    """The scaled evidence, or ZeroEvidence if it is not positive."""
     if not evidence > 0.0:
         raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
-    mantissa, exponent = math.frexp(evidence)
-    log_evidence = math.log(mantissa) + (exponent + shift) * math.log(2.0)
-    return log_evidence, [w / evidence for w in levels], D
+    return evidence
+
+
+def _sorted_indices(prior, kernel, clutter, Z: MeasurementSet) -> tuple[int, ...]:
+    _check_update_spaces(prior, kernel, clutter)
+    return tuple(sorted(kernel.obs_space.indices(Z)))
 
 
 def posterior_partition_clutter(
@@ -614,15 +649,23 @@ def posterior_partition_clutter(
     Sums over the subset of Z attributed to objects; the complement is
     weighted by the clutter process's density at those points. clutter=None
     means no clutter process: every measurement comes from an object. The
-    returned intensity is the first factorial moment of the computed
-    density; posterior_intensity_clutter evaluates the same quantity from
-    the partition sum directly.
+    posterior coefficients are the prior's times the Janossy likelihood l_Z
+    (_likelihood), over the evidence sum_alpha prior(alpha) l_Z(alpha) /
+    alpha!. The returned intensity is the first factorial moment of the
+    computed density; posterior_intensity_clutter evaluates the same
+    quantity from the partition sum directly.
     """
-    log_evidence, block, _ = _partition_engine(prior, kernel, Z, clutter, prune)
-    n, d = prior.n_max, prior.space.size
-    likelihood = multiply(block, exp_coefficients(kernel.tables[0], n), n, d)
-    packed = [c * f for c, f in zip(prior.packed, likelihood)]
-    density = MultiObjectDensity._from_packed(prior.space, packed, prior.truncation_mass)
+    z = _sorted_indices(prior, kernel, clutter, Z)
+    shift, ell = _likelihood(kernel, clutter, z, prune, prior.n_max)
+    joint = prior.flat * ell
+    evidence = _positive(float(joint @ inverse_factorials(prior.space.size, prior.n_max)), Z)
+    # log(evidence * 2^shift) from frexp, so the scaled evidence may lie far
+    # below the smallest double
+    mantissa, exponent = math.frexp(evidence)
+    log_evidence = math.log(mantissa) + (exponent + shift) * math.log(2.0)
+    density = MultiObjectDensity._from_flat(
+        prior.space, joint / evidence, prior.n_max, prior.truncation_mass
+    )
     return Posterior(density, density.intensity_vector(), log_evidence)
 
 
@@ -636,16 +679,24 @@ def posterior_intensity_clutter(
 ) -> np.ndarray:
     """Posterior intensity under clutter, from the partition sum directly.
 
-    Level k of the block functional B contributes its appended terms,
-    p0(x) times D_(k+1) shifted by e_x and paired with B_k, and its
-    replaced terms. Those sum v_i(x) prod_(j != i) v_j[h] over the blocks
-    of each term: prod_j v_j[h] differentiated along e_x. So they pair
-    D_k * B_k, shifted by e_x, with every multiset of level k - 1.
+    This route does not take the update's: it builds the levels W_k of
+    the likelihood functional afresh (_functional, uncached), the prior's
+    variations D_k at the missed-detection profile and the scaled evidence
+    E = sum_k pairings(D_k, W_k). Level k of the block functional
+    B = W / E contributes its appended terms, p0(x) times D_(k+1) shifted
+    by e_x and paired with B_k, and its replaced terms. Those sum v_i(x)
+    prod_(j != i) v_j[h] over the blocks of each term: prod_j v_j[h]
+    differentiated along e_x. So they pair D_k * B_k, shifted by e_x, with
+    every multiset of level k - 1.
     """
-    # the appended terms read one variation past the largest block count
-    _, block, D = _partition_engine(prior, kernel, Z, clutter, prune, spare=1)
+    z = _sorted_indices(prior, kernel, clutter, Z)
+    _, levels = _functional(kernel, clutter, z, prune, prior.n_max)
     p0 = kernel.tables[0]
     d = p0.size
+    # the appended terms read one variation past the largest block count
+    D = derivatives(prior.packed, p0, len(levels))
+    evidence = _positive(sum(float(pairings(D[k], w[None], d, k)[0]) for k, w in enumerate(levels)), Z)
+    block = [w / evidence for w in levels]
     intensity = np.zeros(d)
     for k, level in enumerate(block):
         intensity += p0 * pairings(D[k + 1], level[None], d, k, free=True)[0]
@@ -704,8 +755,8 @@ def poisson_posterior(
     nu = mu * p0
     scale = math.exp(-float(nu.sum())) / partition_total
     levels = _levels(plan, mu * vectors, np.ones(1), min(n_max, len(Z)))
-    packed = multiply([w * scale for w in levels], exp_coefficients(nu, n_max), n_max, d)
-    density = MultiObjectDensity._from_packed(kernel.state_space, packed)
+    flat = multiply([w * scale for w in levels], exp_coefficients(nu, n_max), n_max, d).flat
+    density = MultiObjectDensity._from_flat(kernel.state_space, flat, n_max)
     density.truncation_mass = max(0.0, 1.0 - density.total_mass())
     log_evidence = float(mu @ (p0 - 1.0)) + math.log(partition_total)
     return Posterior(density, intensity, log_evidence)

@@ -254,8 +254,15 @@ def _stacked(d: int, n: int) -> _Stack:
         np.concatenate([off[max(k - 1, 0)] + lv.parent for k, lv in enumerate(levels)]),
         np.concatenate([lv.last for lv in levels]),
         np.concatenate([lv.fact for lv in levels]),
-        np.concatenate([lv.inv_fact for lv in levels]),
+        _frozen(np.concatenate([lv.inv_fact for lv in levels])),
     )
+
+
+def inverse_factorials(d: int, n: int) -> np.ndarray:
+    """1/alpha! for every alpha of levels 0..n on d points, concatenated and
+    read-only: sum(a * b * inverse_factorials(d, n)) pairs two functionals'
+    flat coefficients, the scalar product of their generating functionals."""
+    return _stacked(d, n).inv_fact
 
 
 @functools.lru_cache(maxsize=64)
@@ -267,17 +274,18 @@ def _grow(d: int, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _pairs(d: int, n: int, top: int) -> tuple[np.ndarray, ...]:
-    """Every pair (beta, gamma) with |beta| <= top and |beta| + |gamma| <= n,
-    ordered by beta and then gamma in layout order: the positions of beta,
-    gamma and alpha = beta + gamma in levels 0..n concatenated, and the
-    weight alpha!/(beta! gamma!). Pairs with a larger top extend this
-    list, so sums over it do not depend on top."""
+def _pair_table(d: int, n: int) -> tuple[tuple[np.ndarray, ...], list[int]]:
+    """Every pair (beta, gamma) with |beta| + |gamma| <= n, ordered by beta
+    and then gamma in layout order: the positions of beta, gamma and
+    alpha = beta + gamma in levels 0..n concatenated, and the weight
+    alpha!/(beta! gamma!), all read-only; and, for each top 0..n, how many
+    pairs have |beta| <= top."""
     _, level, parent, last, fact, _ = _stacked(d, n)
     off = _offsets(d, n)
     # each beta meets every gamma up to n - |beta|
-    width = off[n + 1 - level[: off[top + 1]]]
-    start = np.cumsum(width) - width
+    width = off[n + 1 - level]
+    ends = np.cumsum(width)
+    start = ends - width
     bi = np.repeat(np.arange(len(width)), width)
     gi = np.arange(len(bi)) - np.repeat(start, width)
     # beta + gamma is beta + parent(gamma), grown by gamma's largest index;
@@ -291,7 +299,17 @@ def _pairs(d: int, n: int, top: int) -> tuple[np.ndarray, ...]:
             g = gi[at]
             ti[at] = grow[ti[start[bi[at]] + parent[g]], last[g]]
     # exact integers, so the quotient is exact
-    return bi, gi, ti, fact[ti] / (fact[bi] * fact[gi])
+    table = (bi, gi, ti, fact[ti] / (fact[bi] * fact[gi]))
+    return tuple(_frozen(a) for a in table), ends[off[1:] - 1].tolist()
+
+
+def _pairs(d: int, n: int, top: int) -> tuple[np.ndarray, ...]:
+    """The pairs of _pair_table(d, n) with |beta| <= top. Pairs are ordered
+    by beta, so these are a prefix of the table: every top is a slice of one
+    table per (d, n), and sums over the pairs do not depend on top."""
+    table, cuts = _pair_table(d, n)
+    cut = cuts[min(top, n)]
+    return tuple(a[:cut] for a in table)
 
 
 @functools.lru_cache(maxsize=64)
@@ -361,19 +379,44 @@ def _unpack(entries: np.ndarray, d: int, n: int) -> np.ndarray:
     return entries[_dense_index(d, n)].reshape((d,) * n)
 
 
+class _Levels(list):
+    """Levels 0..n as views into one flat array, `flat`, cut along its last
+    axis; leading axes, if any, are rows that the kernels keep apart."""
+
+    def __init__(self, flat: np.ndarray, offsets: np.ndarray):
+        cuts = offsets.tolist()
+        super().__init__(flat[..., a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+        self.flat = flat
+
+
+def as_levels(flat: np.ndarray, d: int, n: int) -> list[np.ndarray]:
+    """Levels 0..n on d points as views into flat's last axis, which holds
+    C(d + n, n) coefficients in the packed layout. The kernels read the
+    flat array back without a copy."""
+    return _Levels(flat, _offsets(d, n))
+
+
+def _joined(levels: Sequence[np.ndarray]) -> np.ndarray:
+    """Levels 0..n as one flat array along the last axis: as_levels' own
+    array, with no copy, or the levels concatenated."""
+    if isinstance(levels, _Levels):
+        return levels.flat
+    return np.concatenate(levels, axis=-1)
+
+
 class MultiObjectDensity:
     """Truncated coefficients of a multi-object generating functional.
 
-    packed[n] holds level n, one entry per index multiset of size n (see
-    the module docstring); tensors[n] is its dense (d,)*n view, and
-    tensors[0] a scalar array. Entries are ordinarily nonnegative
+    flat holds levels 0..n_max concatenated, one entry per index multiset
+    (see the module docstring), and packed[n] is level n, a view into it;
+    tensors[n] is its dense (d,)*n view, and tensors[0] a scalar array. Entries are ordinarily nonnegative
     (probability densities) but may be any finite real when the instance
     carries an unnormalized numerator. truncation_mass records probability
     dropped past n_max by whatever operation built the instance.
 
-    The levels are read-only: numpy's writeable flag is off on each packed
-    level, dense view and the cardinality distribution, so writing into one
-    raises ValueError. Operations return new densities; the cached dense
+    The levels are read-only: numpy's writeable flag is off on the flat
+    array, each packed level, dense view and the cardinality distribution,
+    so writing into one raises ValueError. Operations return new densities; the cached dense
     view and cardinality distribution, and the update's likelihood cache
     keyed on a clutter density, rely on its levels never changing.
     """
@@ -403,29 +446,40 @@ class MultiObjectDensity:
             packed.append(_pack(arr, n, symmetrize_input))
         if not packed:
             raise ValueError("at least the cardinality-0 tensor is required")
-        self._assign(space, packed, truncation_mass)
+        self._assign(space, np.concatenate(packed), len(packed) - 1, truncation_mass)
 
     @classmethod
     def _from_packed(
-        cls, space: FiniteSpace, packed: list[np.ndarray], truncation_mass: float = 0.0
+        cls, space: FiniteSpace, packed: Sequence[np.ndarray], truncation_mass: float = 0.0
     ) -> "MultiObjectDensity":
         """A density on packed levels the caller built; nothing is checked."""
+        return cls._from_flat(space, _joined(packed), len(packed) - 1, truncation_mass)
+
+    @classmethod
+    def _from_flat(
+        cls, space: FiniteSpace, flat: np.ndarray, n_max: int, truncation_mass: float = 0.0
+    ) -> "MultiObjectDensity":
+        """A density on levels 0..n_max concatenated, which the caller built
+        and hands over; nothing is checked."""
         self = cls.__new__(cls)
-        self._assign(space, packed, truncation_mass)
+        self._assign(space, flat, n_max, truncation_mass)
         return self
 
-    def _assign(self, space, packed, truncation_mass) -> None:
-        for level in packed:
-            level.flags.writeable = False
+    def _assign(self, space, flat, n_max, truncation_mass) -> None:
         self.space = space
-        self.packed = packed
+        self.flat = _frozen(flat)  # so the level views are read-only too
+        self.n_max = n_max
         self.truncation_mass = float(truncation_mass)
+        self._packed: list[np.ndarray] | None = None
         self._dense: list[np.ndarray] | None = None
         self._cardinality: np.ndarray | None = None
 
     @property
-    def n_max(self) -> int:
-        return len(self.packed) - 1
+    def packed(self) -> list[np.ndarray]:
+        """Levels 0..n_max as views into flat, cut on first use."""
+        if self._packed is None:
+            self._packed = as_levels(self.flat, self.space.size, self.n_max)
+        return self._packed
 
     @property
     def tensors(self) -> list[np.ndarray]:
@@ -465,29 +519,32 @@ class MultiObjectDensity:
 
     def cardinality_distribution(self) -> np.ndarray:
         """sum over alpha of c(alpha)/alpha! per level, read-only, computed on
-        first use."""
+        first use in one pass over the flat array."""
         if self._cardinality is None:
-            d = self.space.size
-            card = np.array([c @ _level(d, n).inv_fact for n, c in enumerate(self.packed)])
-            self._cardinality = _frozen(card)
+            off = _offsets(self.space.size, self.n_max)
+            weighted = self.flat * inverse_factorials(self.space.size, self.n_max)
+            self._cardinality = _frozen(np.add.reduceat(weighted, off[:-1]))
         return self._cardinality
 
     def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
         return abs(self.total_mass() - 1.0) <= tol
 
     def scaled(self, c: float) -> "MultiObjectDensity":
-        return MultiObjectDensity._from_packed(
-            self.space, [t * float(c) for t in self.packed], self.truncation_mass
+        return MultiObjectDensity._from_flat(
+            self.space, self.flat * float(c), self.n_max, self.truncation_mass
         )
 
     def intensity_vector(self) -> np.ndarray:
-        """First factorial moment, M_1 = sum over alpha of c(alpha) alpha/alpha!."""
+        """First factorial moment, M_1 = sum over alpha of c(alpha) alpha/alpha!.
+
+        With alpha = beta + e_x, alpha_x/alpha! = 1/beta!, so M_1(x) sums
+        c(beta + e_x)/beta! over the beta of levels 0..n_max - 1: one gather
+        of the flat array and one product with 1/beta!.
+        """
         d, n = self.space.size, self.n_max
-        stack = _stacked(d, n)
-        # alpha_x counts the positions of alpha's tuple holding x; the
-        # padding lands in bin d
-        weights = np.tile(np.concatenate(self.packed) * stack.inv_fact, n)
-        return np.bincount(stack.columns.reshape(-1), weights=weights, minlength=d + 1)[:d]
+        if n == 0:
+            return np.zeros(d)
+        return inverse_factorials(d, n - 1) @ self.flat[_grow(d, n - 1)]
 
     def to_json(self) -> str:
         doc = {
@@ -632,9 +689,8 @@ def poisson(
     mu = _as_test_function(space, spec.intensity)
     lam = float(mu.sum())
     n_max = _poisson_cap(spec, lam, n_max)
-    scale = math.exp(-lam)
-    packed = [c * scale for c in exp_coefficients(mu, n_max)]
-    return MultiObjectDensity._from_packed(space, packed, _poisson_tail(lam, n_max))
+    flat = _powers(mu, n_max) * math.exp(-lam)
+    return MultiObjectDensity._from_flat(space, flat, n_max, _poisson_tail(lam, n_max))
 
 
 def _poisson_cap(spec: PoissonSpec, lam: float, n_max: int | None) -> int:
@@ -677,9 +733,24 @@ def bernoulli(
 # them.
 
 
-def _levels(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
-    """Concatenated levels split at offsets (np.split costs more per call)."""
-    return [flat[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+#
+# Each kernel takes levels 0..n as a list, or as as_levels() views, which it
+# reads as their flat array; levels may carry leading row axes, which stay
+# apart, so one call can apply a kernel to many functionals at once. Each
+# kernel returns as_levels() views into one new flat array.
+
+
+def _bin(index: np.ndarray, weights: np.ndarray, bins: int) -> np.ndarray:
+    """np.bincount of weights' last axis by index into `bins` bins, row by
+    row along its leading axes; each bin adds its terms in index order, so
+    a row's sums do not depend on the other rows."""
+    if weights.ndim == 1:
+        return np.bincount(index, weights=weights, minlength=bins)
+    lead = weights.shape[:-1]
+    rows = math.prod(lead)
+    flat = (np.arange(rows)[:, None] * bins + index).reshape(-1)
+    out = np.bincount(flat, weights=weights.reshape(-1), minlength=rows * bins)
+    return out.reshape(lead + (bins,))
 
 
 def _powers(v: np.ndarray, n: int) -> np.ndarray:
@@ -689,7 +760,7 @@ def _powers(v: np.ndarray, n: int) -> np.ndarray:
 
 def exp_coefficients(v: np.ndarray, n: int) -> list[np.ndarray]:
     """Levels 0..n of exp(v[h]): the entry at alpha is v^alpha."""
-    return _levels(_powers(v, n), _offsets(v.size, n))
+    return as_levels(_powers(v, n), v.size, n)
 
 
 @functools.lru_cache(maxsize=64)
@@ -710,12 +781,16 @@ def multiply(
 
     t(alpha) = sum over beta + gamma = alpha of alpha!/(beta! gamma!) *
     p(beta) * r(gamma); products past cap are dropped. Terms accumulate in a
-    fixed order, so equal inputs give bitwise-equal outputs.
+    fixed order, so equal inputs give bitwise-equal outputs. Either factor
+    may carry leading row axes. The product commutes, so the factor with
+    fewer levels plays beta: its pairs are then a prefix of _pair_table,
+    with no filtered copy, unless neither factor reaches the cap.
     """
+    if len(r) < min(len(p), cap + 1):
+        p, r = r, p
     bi, gi, ti, weight = _product_index(d, len(p) - 1, len(r) - 1, cap)
-    terms = weight * np.concatenate(p)[bi] * np.concatenate(r)[gi]
-    off = _offsets(d, cap)
-    return _levels(np.bincount(ti, weights=terms, minlength=off[-1]), off)
+    terms = weight * _joined(p)[..., bi] * _joined(r)[..., gi]
+    return as_levels(_bin(ti, terms, math.comb(d + cap, cap)), d, cap)
 
 
 def times_linear(t: np.ndarray, vectors: np.ndarray, k: int) -> np.ndarray:
@@ -752,13 +827,9 @@ def derivatives(packed: Sequence[np.ndarray], base: np.ndarray, k_max: int) -> l
     """
     d, n = base.size, len(packed) - 1
     weights = _powers(base, n) * _stacked(d, n).inv_fact
-    top = min(k_max, n)
-    bi, gi, ti, _ = _pairs(d, n, top)
-    off = _offsets(d, n)
-    flat = np.bincount(bi, weights=np.concatenate(packed)[ti] * weights[gi], minlength=off[top + 1])
-    return _levels(flat, off[: top + 2]) + [
-        np.zeros(len(_level(d, k).inv_fact)) for k in range(top + 1, k_max + 1)
-    ]
+    bi, gi, ti, _ = _pairs(d, n, k_max)
+    terms = _joined(packed)[..., ti] * weights[gi]
+    return as_levels(_bin(bi, terms, math.comb(d + k_max, k_max)), d, k_max)
 
 
 def pairings(
@@ -787,20 +858,24 @@ def substitute(packed: Sequence[np.ndarray], matrix: np.ndarray) -> list[np.ndar
     u-multiset over h-levels 0..n - i; F_(i+1) is 1/(i+1) times the sum over
     y of (matrix^T u)_y dF_i/dh_y, and F_i's h-level 0 is level i of the
     result. A step holds d times the entries of one row block, so nothing
-    grows with the square of a level.
+    grows with the square of a level. Leading row axes of the input ride
+    in front of the u-multisets.
     """
     d, n = matrix.shape[0], len(packed) - 1
-    t = np.concatenate(packed)[None, :]
-    out = [t[:, 0]]
+    t = _joined(packed)[..., None, :]
+    lead = t.shape[:-2]
+    off = _offsets(d, n)
+    out = np.empty(lead + (off[-1],))
+    out[..., 0] = t[..., 0, 0]
     for i in range(n):
         grow = _grow(d, n - i - 1)
         # row (a, x), column b: sum_y matrix[x, y] t[a, b + e_y]
-        moved = (matrix @ t[:, grow.T]).reshape(-1, len(grow))
+        moved = (matrix @ t[..., grow.T]).reshape(lead + (-1, len(grow)))
         # multiplying by u_x maps a to a + e_x: a sum over the positions of
         # the new row's tuple, as in linear_products
-        t = moved[_lift(d, i + 1)].sum(axis=1) / (i + 1)
-        out.append(t[:, 0])
-    return out
+        t = moved[..., _lift(d, i + 1), :].sum(axis=-2) / (i + 1)
+        out[..., off[i + 1] : off[i + 2]] = t[..., 0]
+    return as_levels(out, d, n)
 
 
 def superpose(P1: MultiObjectDensity, P2: MultiObjectDensity) -> MultiObjectDensity:
@@ -814,8 +889,8 @@ def superpose(P1: MultiObjectDensity, P2: MultiObjectDensity) -> MultiObjectDens
     if P1.space.labels != P2.space.labels:
         raise ValueError("superpose requires a common space")
     k_max = max(P1.n_max, P2.n_max)
-    packed = multiply(P1.packed, P2.packed, k_max, P1.space.size)
+    flat = multiply(P1.packed, P2.packed, k_max, P1.space.size).flat
     c1, c2 = P1.cardinality_distribution(), P2.cardinality_distribution()
     dropped = sum(float(c1[j] * c2[k_max + 1 - j :].sum()) for j in range(c1.size))
     mass = P1.truncation_mass + P2.truncation_mass + max(0.0, dropped)
-    return MultiObjectDensity._from_packed(P1.space, packed, mass)
+    return MultiObjectDensity._from_flat(P1.space, flat, k_max, mass)

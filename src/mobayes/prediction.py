@@ -24,6 +24,7 @@ oracles.build_multiplicative) are such a model.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -34,10 +35,24 @@ from .finite_pp import (
     TruncationOverflow,
     _as_test_function,
     _check_axes,
+    _frozen,
+    as_levels,
     derivatives,
     multiply,
     substitute,
 )
+
+# The largest prediction operator SurviveMoveBirth keeps, in bytes: N x N
+# doubles, N = C(d + n_max, n_max), so N <= 256. Past it, propagate runs the
+# composition on every call. Set from a sweep of step, build time and build
+# peak against N (CHANGES.md): up to N = 220 the operator step is 25-50x
+# faster than the composition and its build costs at most about 180
+# composition steps; by N = 455 the build costs over 400 steps, and from
+# N = 680 a matvec under default BLAS threads is slower than the composition.
+OPERATOR_BYTES = 512 * 2**10
+# Doubles per temporary in one batch of the operator's build: a batch holds
+# this many over the C(2d + n_max, n_max) pairs of the largest kernel table.
+BUILD_ENTRIES = 2**19
 
 
 class SurviveMoveBirth:
@@ -46,7 +61,9 @@ class SurviveMoveBirth:
     Each object at y survives with probability survival[y] and moves to x
     with probability motion[x, y], or vanishes; the birth process superposes
     independently. Predicted cardinalities are capped at n_max, which is
-    also the largest posterior cap accepted (m_max).
+    also the largest posterior cap accepted (m_max). The model is
+    read-only: its arrays are frozen, so the operator built from them stays
+    valid.
     """
 
     def __init__(
@@ -72,22 +89,54 @@ class SurviveMoveBirth:
         _check_axes(n_max)
         self.space = space
         self.n_max = n_max
-        self.survival = p_s
-        self.motion = f
+        self.survival = _frozen(p_s.copy())
+        self.motion = _frozen(f.copy())
         self.birth = birth
-        self.move = f * p_s  # move[x, y] = p_S(y) f(x|y)
-        self.die = 1.0 - p_s
+        self.move = _frozen(f * p_s)  # move[x, y] = p_S(y) f(x|y)
+        self.die = _frozen(1.0 - p_s)
+        self.size = math.comb(d + n_max, n_max)  # N, the levels 0..n_max
+        self._operator: np.ndarray | None = None
 
     @property
     def m_max(self) -> int:
         return self.n_max
 
-    def propagate(self, posterior: MultiObjectDensity) -> MultiObjectDensity:
-        """Survivor coefficients q_j times the birth functional, capped at n_max."""
-        kept = derivatives(posterior.packed, self.die, posterior.n_max)
+    def composition(self, packed: Sequence[np.ndarray]) -> np.ndarray:
+        """Levels 0..n_max of the prediction of the posterior levels packed,
+        concatenated: the survivor coefficients q_j times the birth
+        functional. packed may carry leading row axes, one functional per
+        row, as finite_pp.as_levels views of a flat array."""
+        kept = derivatives(packed, self.die, len(packed) - 1)
         survivors = substitute(kept, self.move)
-        packed = multiply(survivors, self.birth.packed, self.n_max, self.space.size)
-        return MultiObjectDensity._from_packed(self.space, packed)
+        return multiply(survivors, self.birth.packed, self.n_max, self.space.size).flat
+
+    def operator(self) -> np.ndarray | None:
+        """The N x N matrix M of the prediction, read-only, built on first
+        use when it fits OPERATOR_BYTES, else None. Column j is the
+        composition of the j-th unit vector; the identity goes through
+        composition in batches of rows, so M is the composition itself."""
+        if self._operator is None and 8 * self.size**2 <= OPERATOR_BYTES:
+            d, n, size = self.space.size, self.n_max, self.size
+            rows = max(1, BUILD_ENTRIES // math.comb(2 * d + n, n))
+            columns = np.empty((size, size))
+            for lo in range(0, size, rows):
+                hi = min(lo + rows, size)
+                unit = np.zeros((hi - lo, size))
+                unit[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+                columns[lo:hi] = self.composition(as_levels(unit, d, n))
+            self._operator = _frozen(np.ascontiguousarray(columns.T))
+        return self._operator
+
+    def propagate(self, posterior: MultiObjectDensity) -> MultiObjectDensity:
+        """The prediction, capped at n_max: M x for the posterior's flat
+        coefficients x, whose levels are a prefix of M's columns, or the
+        composition past the operator budget."""
+        M = self.operator()
+        if M is None:
+            flat = self.composition(posterior.packed)
+        else:
+            flat = M[:, : posterior.flat.size] @ posterior.flat
+        return MultiObjectDensity._from_flat(self.space, flat, self.n_max)
 
 
 def predict(

@@ -373,6 +373,32 @@ def check_prediction(level: str) -> tuple[float, str]:
     )
 
 
+def check_prediction_operator(level: str) -> tuple[float, str]:
+    """The cached operator M against the composition it is built from and
+    against the explicit transition tables: M x, the composition of x and
+    the tables' contraction with x, for posteriors at and below the cap."""
+    count = _sweep_sizes(level, 12, 30)
+    d_top, n_top = (2, 3) if level == "fast" else (3, 4)
+    rng = np.random.default_rng(1010)
+    worst = 0.0
+    for _ in range(count):
+        d, n_max = int(rng.integers(1, d_top + 1)), int(rng.integers(1, n_top + 1))
+        sp = inst.space(d)
+        post = inst.random_density(rng, sp, int(rng.integers(0, n_max + 1)))
+        p_s = rng.uniform(0.3, 0.95, d)
+        f = rng.uniform(0.1, 1.0, (d, d))
+        f /= f.sum(axis=0, keepdims=True)
+        birth = inst.random_density(rng, sp, int(rng.integers(0, n_max + 1)))
+        model = SurviveMoveBirth(p_s, f, birth, n_max=n_max)
+        by_operator = model.operator()[:, : post.flat.size] @ post.flat
+        by_composition = model.composition(post.packed)
+        tables = build_multiplicative(p_s, f, birth, n_max=n_max, max_dropped=1.0)
+        by_tables = tables.propagate(post).flat
+        worst = max(worst, float(np.max(np.abs(by_operator - by_composition))))
+        worst = max(worst, float(np.max(np.abs(by_operator - by_tables))))
+    return worst, f"{count} models, d up to {d_top}, n_max up to {n_top}: M x vs composition vs tables"
+
+
 def check_run_reproducibility(level: str) -> tuple[float, str]:
     import tempfile
 
@@ -421,6 +447,7 @@ CHECKS = [
     ("product-and-recursion-rules", 1e-8, check_product_and_recursion_rules),
     ("normalization-and-order-invariance", 1e-10, check_normalization_and_order),
     ("prediction-mass-and-poisson-intensity", 1e-9, check_prediction),
+    ("prediction-operator", 1e-13, check_prediction_operator),
     ("run-reproducibility", 0.0, check_run_reproducibility),
     ("update-vs-power-series", 1e-10, check_update_against_power_series),
 ]
