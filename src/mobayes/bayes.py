@@ -722,9 +722,7 @@ def _poisson_update(mu, kernel, Z, prune: bool):
     """
     _, _, plan, vectors = _recursion(kernel, kernel.obs_space.indices(Z), prune, 0)
     f, g = _partition_sums(plan, vectors @ mu, vectors)
-    total = float(f[-1])
-    if not total > 0.0:
-        raise ZeroEvidence(f"measurement set {list(Z)!r} has zero likelihood")
+    total = _positive(float(f[-1]), Z)
     return plan, vectors, mu * (total * kernel.tables[0] + g[-1]) / total, total
 
 

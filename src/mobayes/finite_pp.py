@@ -409,16 +409,18 @@ class MultiObjectDensity:
 
     flat holds levels 0..n_max concatenated, one entry per index multiset
     (see the module docstring), and packed[n] is level n, a view into it;
-    tensors[n] is its dense (d,)*n view, and tensors[0] a scalar array. Entries are ordinarily nonnegative
-    (probability densities) but may be any finite real when the instance
-    carries an unnormalized numerator. truncation_mass records probability
-    dropped past n_max by whatever operation built the instance.
+    tensors[n] is its dense (d,)*n view, and tensors[0] a scalar array.
+    Entries are ordinarily nonnegative (probability densities) but may be
+    any finite real when the instance carries an unnormalized numerator.
+    truncation_mass records probability dropped past n_max by whatever
+    operation built the instance.
 
     The levels are read-only: numpy's writeable flag is off on the flat
     array, each packed level, dense view and the cardinality distribution,
-    so writing into one raises ValueError. Operations return new densities; the cached dense
-    view and cardinality distribution, and the update's likelihood cache
-    keyed on a clutter density, rely on its levels never changing.
+    so writing into one raises ValueError. Operations return new densities;
+    the cached dense view and cardinality distribution, and the update's
+    likelihood cache keyed on a clutter density, rely on its levels never
+    changing.
     """
 
     def __init__(
@@ -730,14 +732,10 @@ def bernoulli(
 # A list of packed levels p_0..p_n stands for the functional
 # sum over alpha of p(alpha) h^alpha / alpha!, so a product of functionals
 # is a convolution of count vectors and a variation a weighted sum over
-# them.
-
-
-#
-# Each kernel takes levels 0..n as a list, or as as_levels() views, which it
-# reads as their flat array; levels may carry leading row axes, which stay
-# apart, so one call can apply a kernel to many functionals at once. Each
-# kernel returns as_levels() views into one new flat array.
+# them. Each kernel takes levels 0..n as a list, or as as_levels() views,
+# which it reads as their flat array; levels may carry leading row axes,
+# which stay apart, so one call applies a kernel to many functionals at
+# once. Each kernel returns as_levels() views into one new flat array.
 
 
 def _bin(index: np.ndarray, weights: np.ndarray, bins: int) -> np.ndarray:
