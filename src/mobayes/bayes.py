@@ -9,22 +9,26 @@ variation of the prior functional taken at the missed-detection profile,
 with one increment per block; clutter adds an outer sum over the subset of
 Z explained by the clutter process. Evidence is the same sum with no free
 measurement points.
-The engine splits the sum in two. The likelihood functional
-L[h] = sum over terms of w * prod_i v_i[h], each term's weight w times the
-product of its block increments, depends only on the measurement set, the
-kernel and the clutter, never on the prior; _likelihood builds its packed
-levels W_k (the terms with k blocks) once per measurement set and sensor
-model and caches them. An update then does only the prior's work:
-finite_pp.derivatives gives the prior's variations D_k at the
-missed-detection profile, the evidence is sum_k finite_pp.pairings(D_k,
-W_k), and the posterior entries are the prior's times one
-finite_pp.multiply of B_k = W_k / evidence and exp(p0[h]). The engine never
-indexes the packed layout. There is one numeric path: every measurement
-label carries an exact power-of-two scale, so W is stored as 2^-S L with
-an integer S, and evidences far below the smallest double neither
-underflow nor need a log-sum-exp; the posterior does not depend on S. The
-posterior carries the prior's truncation_mass, so mass dropped at earlier
-caps is not forgotten.
+On a finite space the update is a pointwise product. The likelihood
+functional L[h] = sum over terms of w * prod_i v_i[h], each term's weight
+w times the product of its block increments, depends only on the
+measurement set, the kernel and the clutter, never on the prior;
+_functional builds its packed levels W_k (the terms with k blocks). With
+the missed objects' factor exp(p0[h]) it gives the Janossy likelihood
+l_Z = finite_pp.multiply(W, exp(p0[h])): l_Z(alpha) is the multi-object
+likelihood g(Z | alpha) of the objects alpha, for every multiset alpha of
+at most n_max objects. _likelihood caches l_Z as one flat array per
+measurement set, sensor model and caps. An update is then the prior's
+flat coefficients times l_Z, elementwise; the evidence is that product
+dotted with 1/alpha!, and the posterior is the product over the
+evidence. A warm update calls no finite_pp.derivatives, pairings or
+multiply. The engine never indexes the packed layout. There is one
+numeric path: every measurement label carries an exact power-of-two
+scale, so W and l_Z are stored as 2^-S L and 2^-S l_Z with an integer S,
+and evidences far below the smallest double neither underflow nor need a
+log-sum-exp; the posterior does not depend on S. The posterior carries
+the prior's truncation_mass, so mass dropped at earlier caps is not
+forgotten.
 
 The brute-force and numeric oracles this engine is checked against live in
 mobayes.oracles.
@@ -44,10 +48,13 @@ sub-multiset through one gather, one finite_pp.times_linear and one
 np.bincount, and it stops at the prior's cap. The work follows the box
 prod_z (n_z + 1) of sub-multisets, not the number of distinct terms, which
 with distinct labels and blocks of two grows past a million at twelve
-measurements. Each sub-multiset adds its blocks in one fixed order, so
-blocks whose vector is zero (those past m_max when prune=False) add exact
-zeros, and since Z is read in sorted-label order, results are bitwise
-invariant under its reordering.
+measurements. A level's pairs are taken in chunks of about
+CHUNK_ENTRIES row entries, cut at state boundaries, so the temporaries of
+a cold update stay bounded. Each sub-multiset adds its blocks in one
+fixed order, within one chunk, so blocks whose vector is zero (those past
+m_max when prune=False) add exact zeros, and since Z is read in
+sorted-label order, results are bitwise invariant under its reordering
+and under the chunk size.
 
 Nothing in that recursion reads a value: it sees only the label counts n
 of Z in sorted-label order and the caps. So _plan builds it once per such
@@ -63,26 +70,31 @@ recursion is tested against; no update calls it, and the set-partition
 walk is a second counting oracle in mobayes.oracles.
 
 A filter meets the same measurement sets again and again, so _likelihood
-keeps the W levels of the last 64 (measurement set, sensor model, caps)
-keys. Its key holds the kernel and clutter objects themselves, which is
-sound because both are read-only: ObservationKernel freezes its tables and
-MultiObjectDensity its packed levels.
+keeps l_Z for the last 64 (measurement set, sensor model, caps) keys: at
+worst n_max + 1 levels each, as many as the W levels it is built from
+hold once |Z| >= n_max. Its key holds the kernel and clutter objects
+themselves, which is sound because both are read-only: ObservationKernel
+freezes its tables and MultiObjectDensity its flat array.
 
 posterior_intensity_clutter evaluates the first factorial moment directly
-from the partition sum: each partition contributes an appended-increment
-term (one extra Dirac increment weighted by the missed-detection profile)
-plus one replaced-increment term per block (that block's increment
-localized at the query point). It reads both kinds, summed over the terms
-of each block count, off the normalized block functional B that the
-posterior multiplies (the replaced ones by the product rule), so no term
-is evaluated on its own. Poisson priors additionally get closed
-forms in which every variation collapses to a product of scalars
-mu[P_block]: poisson_posterior takes its block functional from the same
-value pass with vectors mu * v_b and no clutter, and
-poisson_posterior_intensity and the partition total come from a scalar
-pass over the same plan that builds no tensor (_partition_sums). They
-share the plan, _levels and finite_pp.multiply with the engine, so they
-are not independent oracles.
+from the partition sum, by a route the update does not take, so it
+checks the engine: it rebuilds W uncached, takes the prior's variations
+D_k at the missed-detection profile (finite_pp.derivatives) and the
+evidence sum_k finite_pp.pairings(D_k, W_k). Each partition contributes
+an appended-increment term (one extra Dirac increment weighted by the
+missed-detection profile) plus one replaced-increment term per block
+(that block's increment localized at the query point). It reads both
+kinds, summed over the terms of each block count, off the normalized
+block functional B = W / evidence (the replaced ones by the product
+rule), so no term is evaluated on its own.
+
+Poisson priors additionally get closed forms in which every variation
+collapses to a product of scalars mu[P_block]: poisson_posterior takes
+its block functional from the same value pass with vectors mu * v_b and
+no clutter, and poisson_posterior_intensity and the partition total come
+from a scalar pass over the same plan that builds no tensor
+(_partition_sums). They share the plan, _levels and finite_pp.multiply
+with the engine, so they are not independent oracles.
 """
 
 from __future__ import annotations
@@ -518,7 +530,8 @@ def _levels(plan: _Plan, vectors: np.ndarray, values: np.ndarray, top: int) -> l
                 at = on[lo:hi]
                 t = times_linear(below[plan.rest[at]], vectors[plan.block[at]], k)
                 first, last = int(state[lo]), int(state[hi - 1]) + 1
-                level[first:last] = _scatter(state[lo:hi] - first, t * plan.coef[at, None], last - first)
+                rows = t * plan.coef[at, None]
+                level[first:last] = _scatter(state[lo:hi] - first, rows, last - first)
         out.append((weights[:, None] * level[plan.part_rest]).sum(axis=0))
     return out
 
@@ -695,7 +708,8 @@ def posterior_intensity_clutter(
     d = p0.size
     # the appended terms read one variation past the largest block count
     D = derivatives(prior.packed, p0, len(levels))
-    evidence = _positive(sum(float(pairings(D[k], w[None], d, k)[0]) for k, w in enumerate(levels)), Z)
+    evidence = sum(float(pairings(D[k], w[None], d, k)[0]) for k, w in enumerate(levels))
+    evidence = _positive(evidence, Z)
     block = [w / evidence for w in levels]
     intensity = np.zeros(d)
     for k, level in enumerate(block):

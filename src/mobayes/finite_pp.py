@@ -8,13 +8,16 @@ generating functional
 whose coefficient tensors p_n are symmetric, so G is a polynomial in d
 variables. A density stores each p_n packed: one coefficient c(alpha) per
 index multiset, keyed by its count vector alpha (|alpha| = n), and
-c(alpha) stands for the n!/alpha! dense entries of its orbit. All integrals
-are sums under the counting measure, so a Dirac increment is a one-hot
-vector and a differential is a shift of the coefficients.
+c(alpha) stands for the n!/alpha! dense entries of its orbit. The levels
+0..n_max sit in one flat array, each level a view into it, so the
+density's reads (total mass, cardinality, intensity, scaling) are single
+passes over that array. All integrals are sums under the counting
+measure, so a Dirac increment is a one-hot vector and a differential is a
+shift of the coefficients.
 
 The layout is known to this module alone: the index tables, pack/unpack
 and the kernels the engines call. multiply() is the one product of two
-functionals (superposition, prediction and the update numerators),
+functionals (superposition, prediction and the update's likelihood),
 times_linear() the product with one linear functional v[h], row by row,
 linear_products() the coefficients of products of linear functionals,
 exp_coefficients() those of exp(v[h]), derivatives() the variations of a

@@ -11,11 +11,20 @@ Its coefficients are the survivor tensors
     q_j = move^(x)j applied to sum_k p_k[die^(k-j)] / (k-j)!,
 
 with move = M p_S and die = 1 - p_S, times the birth functional through one
-finite_pp.multiply. SurviveMoveBirth.propagate works on packed coefficients
-and never indexes their layout: finite_pp.derivatives gives the sums at
-base die, and finite_pp.substitute applies move^(x)j to every level by
-moving one factor at a time, so no matrix of a level's square size is
-built; this is the scenario path.
+finite_pp.multiply. SurviveMoveBirth.composition computes them on packed
+coefficients and never indexes their layout: finite_pp.derivatives gives
+the sums at base die, and finite_pp.substitute applies move^(x)j to every
+level by moving one factor at a time, so no matrix of a level's square
+size is built. The composition is the definition of the prediction.
+
+The prediction is linear in the packed coefficients: for a fixed model it
+is one N x N matrix, N = C(d + n_max, n_max). On its first propagate the
+model builds that operator by running the composition on the identity, in
+batches of rows through the kernels' leading row axis, and keeps it
+read-only; each later propagate is one matrix-vector product, and a
+posterior with a smaller cap uses the first columns, since its levels are
+a prefix of the layout. Past OPERATOR_BYTES the model keeps no operator
+and runs the composition on every call. This is the scenario path.
 
 predict runs any model with space, m_max and propagate; the explicit
 Chapman-Kolmogorov tables it is checked against (oracles.TransitionModel,

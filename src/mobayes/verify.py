@@ -396,7 +396,8 @@ def check_prediction_operator(level: str) -> tuple[float, str]:
         by_tables = tables.propagate(post).flat
         worst = max(worst, float(np.max(np.abs(by_operator - by_composition))))
         worst = max(worst, float(np.max(np.abs(by_operator - by_tables))))
-    return worst, f"{count} models, d up to {d_top}, n_max up to {n_top}: M x vs composition vs tables"
+    detail = f"{count} models, d up to {d_top}, n_max up to {n_top}"
+    return worst, detail + ": M x vs composition vs tables"
 
 
 def check_run_reproducibility(level: str) -> tuple[float, str]:
