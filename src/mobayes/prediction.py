@@ -54,7 +54,7 @@ from .finite_pp import (
 # The largest prediction operator SurviveMoveBirth keeps, in bytes: N x N
 # doubles, N = C(d + n_max, n_max), so N <= 256. Past it, propagate runs the
 # composition on every call. Set from a sweep of step, build time and build
-# peak against N (CHANGES.md): up to N = 220 the operator step is 25-50x
+# peak against N (CHANGES.md): up to N = 220 the operator step is 28-52x
 # faster than the composition and its build costs at most about 180
 # composition steps; by N = 455 the build costs over 400 steps, and from
 # N = 680 a matvec under default BLAS threads is slower than the composition.
@@ -130,8 +130,7 @@ class SurviveMoveBirth:
             columns = np.empty((size, size))
             for lo in range(0, size, rows):
                 hi = min(lo + rows, size)
-                unit = np.zeros((hi - lo, size))
-                unit[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+                unit = np.eye(hi - lo, size, lo)  # rows lo..hi - 1 of the identity
                 columns[lo:hi] = self.composition(as_levels(unit, d, n))
             self._operator = _frozen(np.ascontiguousarray(columns.T))
         return self._operator
