@@ -119,11 +119,14 @@ from .finite_pp import (
     FiniteSpace,
     MultiObjectDensity,
     PoissonSpec,
+    _Levels,
     _as_test_function,
+    _bin,
     _frozen,
     _is_symmetric,
     _poisson_cap,
     _symmetrized,
+    as_levels,
     derivatives,
     exp_coefficients,
     inverse_factorials,
@@ -473,13 +476,6 @@ def _recursion(
     return labels, n, plan, np.concatenate(vectors)
 
 
-def _scatter(index: np.ndarray, rows: np.ndarray, bins: int) -> np.ndarray:
-    """(bins, width) sums of the rows by index, each added in row order."""
-    width = rows.shape[1]
-    flat = (index[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(flat, rows.ravel(), minlength=bins * width).reshape(bins, width)
-
-
 def _chunks(state: np.ndarray, rows: int):
     """(start, stop) ranges over pairs sorted by state, of at most `rows`
     pairs each and cut only where the state changes; a state with more
@@ -496,18 +492,20 @@ def _chunks(state: np.ndarray, rows: int):
         lo = hi
 
 
-def _levels(plan: _Plan, vectors: np.ndarray, values: np.ndarray, top: int) -> list[np.ndarray]:
+def _levels(plan: _Plan, vectors: np.ndarray, values: np.ndarray, top: int) -> _Levels:
     """Levels 0..top of the sum over clutter parts c of values[c] *
-    prod_z C(n_z, c_z) * f(n - c).
+    prod_z C(n_z, c_z) * f(n - c), as finite_pp.as_levels views of one
+    array.
 
     f(S) sums prod_blocks v_b[h] over the set partitions of S, and its
     level k holds the partitions into k blocks. Choosing first the block
     that holds one copy of S's smallest label, F_k(S) = sum over S's
     pairs of coef * v_b[h] * F_(k-1)(S - b), so level k of every state
     comes from level k - 1 of every state: one gather, one
-    finite_pp.times_linear and one np.bincount, which adds in input order,
-    each state's pairs in their fixed order. Blocks whose vector is zero,
-    those past m_max when not pruning, therefore add exact zeros. Only
+    finite_pp.times_linear and one bincount of the transposed rows
+    (finite_pp._bin), which adds in input order, each state's pairs in
+    their fixed order. Blocks whose vector is zero, those past m_max when
+    not pruning, therefore add exact zeros. Only
     pairs whose rest can be nonzero at level k - 1, of k - 1 to
     (k - 1) * (largest block) labels, are taken, in chunks of about
     CHUNK_ENTRIES row entries cut at state boundaries: each state's sum
@@ -519,7 +517,7 @@ def _levels(plan: _Plan, vectors: np.ndarray, values: np.ndarray, top: int) -> l
     reach = plan.sizes[plan.rest]
     level = np.zeros((count, 1))
     level[0] = 1.0
-    out = []
+    out = as_levels(np.empty(math.comb(d + top, top)), d, top)
     for k in range(top + 1):
         if k:
             on = np.nonzero((reach >= k - 1) & (reach <= (k - 1) * cap))[0]
@@ -531,8 +529,8 @@ def _levels(plan: _Plan, vectors: np.ndarray, values: np.ndarray, top: int) -> l
                 t = times_linear(below[plan.rest[at]], vectors[plan.block[at]], k)
                 first, last = int(state[lo]), int(state[hi - 1]) + 1
                 rows = t * plan.coef[at, None]
-                level[first:last] = _scatter(state[lo:hi] - first, rows, last - first)
-        out.append((weights[:, None] * level[plan.part_rest]).sum(axis=0))
+                level[first:last] = _bin(state[lo:hi] - first, rows.T, last - first).T
+        out[k][...] = (weights[:, None] * level[plan.part_rest]).sum(axis=0)
     return out
 
 
@@ -552,7 +550,7 @@ def _partition_sums(plan: _Plan, s: np.ndarray, v: np.ndarray) -> tuple[np.ndarr
     for a, b in zip(ends[:-1].tolist(), ends[1:].tolist()):
         state, block, rest, coef = (x[a:b] for x in (plan.state, plan.block, plan.rest, plan.coef))
         terms = v[block] * f[rest, None] + s[block, None] * g[rest]
-        g += _scatter(state, coef[:, None] * terms, count)
+        g += _bin(state, (coef[:, None] * terms).T, count).T
         f += np.bincount(state, coef * s[block] * f[rest], minlength=count)
     return f, g
 
@@ -766,8 +764,9 @@ def poisson_posterior(
     d = kernel.state_space.size
     nu = mu * p0
     scale = math.exp(-float(nu.sum())) / partition_total
-    levels = _levels(plan, mu * vectors, np.ones(1), min(n_max, len(Z)))
-    flat = multiply([w * scale for w in levels], exp_coefficients(nu, n_max), n_max, d).flat
+    top = min(n_max, len(Z))
+    blocks = as_levels(_levels(plan, mu * vectors, np.ones(1), top).flat * scale, d, top)
+    flat = multiply(blocks, exp_coefficients(nu, n_max), n_max, d).flat
     density = MultiObjectDensity._from_flat(kernel.state_space, flat, n_max)
     density.truncation_mass = max(0.0, 1.0 - density.total_mass())
     log_evidence = float(mu @ (p0 - 1.0)) + math.log(partition_total)

@@ -19,11 +19,12 @@ The layout is known to this module alone: the index tables, pack/unpack
 and the kernels the engines call. multiply() is the one product of two
 functionals (superposition, prediction and the update's likelihood),
 times_linear() the product with one linear functional v[h], row by row,
-linear_products() the coefficients of products of linear functionals,
-exp_coefficients() those of exp(v[h]), derivatives() the variations of a
-functional at a base test function, pairings() their values at given
-increments, and substitute() the functional at a linear map of its
-argument, which applies a matrix on every axis of each level. The index
+exp_coefficients() the coefficients of exp(v[h]), derivatives() the
+variations of a functional at a base test function, pairings() their
+values at given increments, and substitute() the functional at a linear
+map of its argument, which applies a matrix on every axis of each level.
+The kernels take and return levels as as_levels() views and read their
+flat array, so a density's reads and the kernels are flat passes. The index
 tables walk the levels as a tree (each multiset followed by its
 extensions), so none sorts and none grows with the square of a level.
 tensors/tensor(n) is a dense (d,)*n view, unpacked on first access and
@@ -392,19 +393,11 @@ class _Levels(list):
         self.flat = flat
 
 
-def as_levels(flat: np.ndarray, d: int, n: int) -> list[np.ndarray]:
+def as_levels(flat: np.ndarray, d: int, n: int) -> _Levels:
     """Levels 0..n on d points as views into flat's last axis, which holds
-    C(d + n, n) coefficients in the packed layout. The kernels read the
-    flat array back without a copy."""
+    C(d + n, n) coefficients in the packed layout. The kernels take levels
+    in this form only and read the flat array back without a copy."""
     return _Levels(flat, _offsets(d, n))
-
-
-def _joined(levels: Sequence[np.ndarray]) -> np.ndarray:
-    """Levels 0..n as one flat array along the last axis: as_levels' own
-    array, with no copy, or the levels concatenated."""
-    if isinstance(levels, _Levels):
-        return levels.flat
-    return np.concatenate(levels, axis=-1)
 
 
 class MultiObjectDensity:
@@ -454,13 +447,6 @@ class MultiObjectDensity:
         self._assign(space, np.concatenate(packed), len(packed) - 1, truncation_mass)
 
     @classmethod
-    def _from_packed(
-        cls, space: FiniteSpace, packed: Sequence[np.ndarray], truncation_mass: float = 0.0
-    ) -> "MultiObjectDensity":
-        """A density on packed levels the caller built; nothing is checked."""
-        return cls._from_flat(space, _joined(packed), len(packed) - 1, truncation_mass)
-
-    @classmethod
     def _from_flat(
         cls, space: FiniteSpace, flat: np.ndarray, n_max: int, truncation_mass: float = 0.0
     ) -> "MultiObjectDensity":
@@ -475,12 +461,12 @@ class MultiObjectDensity:
         self.flat = _frozen(flat)  # so the level views are read-only too
         self.n_max = n_max
         self.truncation_mass = float(truncation_mass)
-        self._packed: list[np.ndarray] | None = None
+        self._packed: _Levels | None = None
         self._dense: list[np.ndarray] | None = None
         self._cardinality: np.ndarray | None = None
 
     @property
-    def packed(self) -> list[np.ndarray]:
+    def packed(self) -> _Levels:
         """Levels 0..n_max as views into flat, cut on first use."""
         if self._packed is None:
             self._packed = as_levels(self.flat, self.space.size, self.n_max)
@@ -626,15 +612,14 @@ def differentiate(P: MultiObjectDensity, x: str | int) -> MultiObjectDensity:
 
     The derivative of a truncated generating functional along a one-hot
     increment is again one, with p'_n(x_1..x_n) = p_{n+1}(x, x_1..x_n): a
-    gather of the entries at alpha + e_x. Differentiating past n_max yields
-    the zero functional, not an error.
+    gather of the flat entries at alpha + e_x over levels 0..n_max - 1.
+    Differentiating past n_max yields the zero functional, not an error.
     """
     ix = P.space.index(x)
-    d = P.space.size
     if P.n_max == 0:
-        return MultiObjectDensity._from_packed(P.space, [np.zeros(1)], P.truncation_mass)
-    shifted = [P.packed[n + 1][_shift(d, n)[:, ix]] for n in range(P.n_max)]
-    return MultiObjectDensity._from_packed(P.space, shifted, P.truncation_mass)
+        return MultiObjectDensity._from_flat(P.space, np.zeros(1), 0, P.truncation_mass)
+    flat = P.flat[_grow(P.space.size, P.n_max - 1)[:, ix]]
+    return MultiObjectDensity._from_flat(P.space, flat, P.n_max - 1, P.truncation_mass)
 
 
 def janossy(P: MultiObjectDensity, points: Sequence[str | int]) -> float:
@@ -645,7 +630,7 @@ def janossy(P: MultiObjectDensity, points: Sequence[str | int]) -> float:
     cur = P
     for ix in idx:
         cur = differentiate(cur, ix)
-    return float(cur.packed[0][0])  # G(0) is the level-0 entry
+    return float(cur.flat[0])  # G(0) is the level-0 entry
 
 
 def moment(P: MultiObjectDensity, points: Sequence[str | int]) -> float:
@@ -657,14 +642,12 @@ def moment(P: MultiObjectDensity, points: Sequence[str | int]) -> float:
 
 
 def scalar_product(P1: MultiObjectDensity, P2: MultiObjectDensity) -> float:
-    """sum_n (1/n!) <p_{1,n}, p_{2,n}>, zero-padding the shorter family."""
+    """sum_n (1/n!) <p_{1,n}, p_{2,n}>, zero-padding the shorter family: one
+    dot of the flat coefficients over the common levels, a prefix of both."""
     if P1.space.labels != P2.space.labels:
         raise ValueError("scalar product requires a common space")
-    d = P1.space.size
-    total = 0.0
-    for n in range(min(P1.n_max, P2.n_max) + 1):
-        total += float((P1.packed[n] * P2.packed[n]) @ _level(d, n).inv_fact)
-    return total
+    weights = inverse_factorials(P1.space.size, min(P1.n_max, P2.n_max))
+    return float((P1.flat[: weights.size] * P2.flat[: weights.size]) @ weights)
 
 
 def _poisson_tail(lam: float, n: int) -> float:
@@ -735,18 +718,17 @@ def bernoulli(
 # A list of packed levels p_0..p_n stands for the functional
 # sum over alpha of p(alpha) h^alpha / alpha!, so a product of functionals
 # is a convolution of count vectors and a variation a weighted sum over
-# them. Each kernel takes levels 0..n as a list, or as as_levels() views,
-# which it reads as their flat array; levels may carry leading row axes,
-# which stay apart, so one call applies a kernel to many functionals at
-# once. Each kernel returns as_levels() views into one new flat array.
+# them. Each kernel takes levels 0..n as as_levels() views and reads their
+# flat array; levels may carry leading row axes, which stay apart, so one
+# call applies a kernel to many functionals at once. Each kernel returns
+# as_levels() views into one new flat array.
 
 
 def _bin(index: np.ndarray, weights: np.ndarray, bins: int) -> np.ndarray:
     """np.bincount of weights' last axis by index into `bins` bins, row by
-    row along its leading axes; each bin adds its terms in index order, so
-    a row's sums do not depend on the other rows."""
-    if weights.ndim == 1:
-        return np.bincount(index, weights=weights, minlength=bins)
+    row along its leading axes (a 1-D weights is one row); each bin adds
+    its terms in index order, so a row's sums do not depend on the other
+    rows."""
     lead = weights.shape[:-1]
     rows = math.prod(lead)
     flat = (np.arange(rows)[:, None] * bins + index).reshape(-1)
@@ -759,7 +741,7 @@ def _powers(v: np.ndarray, n: int) -> np.ndarray:
     return np.prod(np.append(v, 1.0)[_stacked(v.size, n).columns], axis=0)
 
 
-def exp_coefficients(v: np.ndarray, n: int) -> list[np.ndarray]:
+def exp_coefficients(v: np.ndarray, n: int) -> _Levels:
     """Levels 0..n of exp(v[h]): the entry at alpha is v^alpha."""
     return as_levels(_powers(v, n), v.size, n)
 
@@ -775,9 +757,7 @@ def _product_index(d: int, n_p: int, n_r: int, cap: int) -> tuple[np.ndarray, ..
     return tuple(a[keep] for a in pairs)
 
 
-def multiply(
-    p: Sequence[np.ndarray], r: Sequence[np.ndarray], cap: int, d: int
-) -> list[np.ndarray]:
+def multiply(p: _Levels, r: _Levels, cap: int, d: int) -> _Levels:
     """Levels 0..cap of the product of two functionals on d points.
 
     t(alpha) = sum over beta + gamma = alpha of alpha!/(beta! gamma!) *
@@ -790,7 +770,7 @@ def multiply(
     if len(r) < min(len(p), cap + 1):
         p, r = r, p
     bi, gi, ti, weight = _product_index(d, len(p) - 1, len(r) - 1, cap)
-    terms = weight * _joined(p)[..., bi] * _joined(r)[..., gi]
+    terms = weight * p.flat[..., bi] * r.flat[..., gi]
     return as_levels(_bin(ti, terms, math.comb(d + cap, cap)), d, cap)
 
 
@@ -809,16 +789,7 @@ def times_linear(t: np.ndarray, vectors: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def linear_products(vectors: np.ndarray) -> np.ndarray:
-    """Level k of prod_i v_i[h], one row per term of a (terms, k, d) stack."""
-    terms, k, _ = vectors.shape
-    t = np.ones((terms, 1))
-    for i in range(k):
-        t = times_linear(t, vectors[:, i], i + 1)
-    return t
-
-
-def derivatives(packed: Sequence[np.ndarray], base: np.ndarray, k_max: int) -> list[np.ndarray]:
+def derivatives(packed: _Levels, base: np.ndarray, k_max: int) -> _Levels:
     """D_0..D_k_max: the k-th variation of the functional at base, packed.
 
     D_k(beta) = sum over gamma of c(beta + gamma) base^gamma / gamma!, the
@@ -829,7 +800,7 @@ def derivatives(packed: Sequence[np.ndarray], base: np.ndarray, k_max: int) -> l
     d, n = base.size, len(packed) - 1
     weights = _powers(base, n) * _stacked(d, n).inv_fact
     bi, gi, ti, _ = _pairs(d, n, k_max)
-    terms = _joined(packed)[..., ti] * weights[gi]
+    terms = packed.flat[..., ti] * weights[gi]
     return as_levels(_bin(bi, terms, math.comb(d + k_max, k_max)), d, k_max)
 
 
@@ -839,8 +810,8 @@ def pairings(
     """sum over alpha of level(alpha) t(alpha) / alpha!, per row t of products.
 
     products holds level k on d points, one row per term. With level = D_k
-    and rows from linear_products this is the variation along each row's
-    increments. With free=True, level is D_(k+1) and one index stays open:
+    and rows of products of k linear functionals (times_linear, k times)
+    this is the variation along each row's increments. With free=True, level is D_(k+1) and one index stays open:
     entry [i, x] pairs row i with D_(k+1) shifted by e_x.
     """
     weighted = products * _level(d, k).inv_fact
@@ -849,7 +820,7 @@ def pairings(
     return (weighted * level).sum(axis=1)
 
 
-def substitute(packed: Sequence[np.ndarray], matrix: np.ndarray) -> list[np.ndarray]:
+def substitute(packed: _Levels, matrix: np.ndarray) -> _Levels:
     """Levels of the functional F(matrix^T h), (matrix^T h)(y) = sum_x
     matrix[x, y] h(x): level j is level j of F with matrix applied on every
     axis, (M^(x)j T)(x) = sum_y prod_i M[x_i, y_i] T(y).
@@ -863,7 +834,7 @@ def substitute(packed: Sequence[np.ndarray], matrix: np.ndarray) -> list[np.ndar
     in front of the u-multisets.
     """
     d, n = matrix.shape[0], len(packed) - 1
-    t = _joined(packed)[..., None, :]
+    t = packed.flat[..., None, :]
     lead = t.shape[:-2]
     off = _offsets(d, n)
     out = np.empty(lead + (off[-1],))
@@ -873,7 +844,7 @@ def substitute(packed: Sequence[np.ndarray], matrix: np.ndarray) -> list[np.ndar
         # row (a, x), column b: sum_y matrix[x, y] t[a, b + e_y]
         moved = (matrix @ t[..., grow.T]).reshape(lead + (-1, len(grow)))
         # multiplying by u_x maps a to a + e_x: a sum over the positions of
-        # the new row's tuple, as in linear_products
+        # the new row's tuple, as in times_linear
         t = moved[..., _lift(d, i + 1), :].sum(axis=-2) / (i + 1)
         out[..., off[i + 1] : off[i + 2]] = t[..., 0]
     return as_levels(out, d, n)

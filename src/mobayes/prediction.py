@@ -19,11 +19,11 @@ size is built. The composition is the definition of the prediction.
 
 The prediction is linear in the packed coefficients: for a fixed model it
 is one N x N matrix, N = C(d + n_max, n_max). On its first propagate the
-model builds that operator by running the composition on the identity, in
-batches of rows through the kernels' leading row axis, and keeps it
-read-only; each later propagate is one matrix-vector product, and a
-posterior with a smaller cap uses the first columns, since its levels are
-a prefix of the layout. Past OPERATOR_BYTES the model keeps no operator
+model builds that operator by running the composition once on the
+identity, one row per unit vector through the kernels' leading row axis,
+and keeps it read-only; each later propagate is one matrix-vector
+product, and a posterior with a smaller cap uses the first columns, since
+its levels are a prefix of the layout. Past OPERATOR_BYTES the model keeps no operator
 and runs the composition on every call. This is the scenario path.
 
 predict runs any model with space, m_max and propagate; the explicit
@@ -58,10 +58,9 @@ from .finite_pp import (
 # faster than the composition and its build costs at most about 180
 # composition steps; by N = 455 the build costs over 400 steps, and from
 # N = 680 a matvec under default BLAS threads is slower than the composition.
+# Within it the whole identity goes through the composition in one call,
+# which peaks at about 26 MiB (N = 220).
 OPERATOR_BYTES = 512 * 2**10
-# Doubles per temporary in one batch of the operator's build: a batch holds
-# this many over the C(2d + n_max, n_max) pairs of the largest kernel table.
-BUILD_ENTRIES = 2**19
 
 
 class SurviveMoveBirth:
@@ -110,7 +109,7 @@ class SurviveMoveBirth:
     def m_max(self) -> int:
         return self.n_max
 
-    def composition(self, packed: Sequence[np.ndarray]) -> np.ndarray:
+    def composition(self, packed: list[np.ndarray]) -> np.ndarray:
         """Levels 0..n_max of the prediction of the posterior levels packed,
         concatenated: the survivor coefficients q_j times the birth
         functional. packed may carry leading row axes, one functional per
@@ -123,16 +122,11 @@ class SurviveMoveBirth:
         """The N x N matrix M of the prediction, read-only, built on first
         use when it fits OPERATOR_BYTES, else None. Column j is the
         composition of the j-th unit vector; the identity goes through
-        composition in batches of rows, so M is the composition itself."""
+        composition in one call, one row per unit vector, so M is the
+        composition itself."""
         if self._operator is None and 8 * self.size**2 <= OPERATOR_BYTES:
-            d, n, size = self.space.size, self.n_max, self.size
-            rows = max(1, BUILD_ENTRIES // math.comb(2 * d + n, n))
-            columns = np.empty((size, size))
-            for lo in range(0, size, rows):
-                hi = min(lo + rows, size)
-                unit = np.eye(hi - lo, size, lo)  # rows lo..hi - 1 of the identity
-                columns[lo:hi] = self.composition(as_levels(unit, d, n))
-            self._operator = _frozen(np.ascontiguousarray(columns.T))
+            unit = as_levels(np.eye(self.size), self.space.size, self.n_max)
+            self._operator = _frozen(np.ascontiguousarray(self.composition(unit).T))
         return self._operator
 
     def propagate(self, posterior: MultiObjectDensity) -> MultiObjectDensity:

@@ -35,14 +35,15 @@ from mobayes.finite_pp import (
     _pack,
     _symmetrized,
     _unpack,
+    as_levels,
     contract,
     derivatives,
     is_symmetric,
-    linear_products,
     multiply,
     pairings,
     substitute,
     symmetrize,
+    times_linear,
 )
 from mobayes.functional_calculus import numeric_differential
 from mobayes.instances import random_density, space
@@ -573,6 +574,16 @@ def random_symmetric(rng, d, n):
     return symmetrize(rng.normal(size=(d,) * n))
 
 
+def linear_products(vectors):
+    """Level k of prod_i v_i[h], one row per term of a (terms, k, d) stack:
+    times_linear chained k times from the constant 1."""
+    terms, k, _ = vectors.shape
+    t = np.ones((terms, 1))
+    for i in range(k):
+        t = times_linear(t, vectors[:, i], i + 1)
+    return t
+
+
 # the largest cardinality the packed kernels are checked to on each space,
 # against the dense oracles: small spaces, and one wider than any level
 # checked on it, where a multiset holds fewer indices than the space
@@ -637,8 +648,8 @@ class TestPackedKernels:
                     continue
                 p = [rng.normal()] + [random_symmetric(rng, d, n) for n in range(1, n_p + 1)]
                 r = [rng.normal()] + [random_symmetric(rng, d, n) for n in range(1, n_r + 1)]
-                pp = [_pack(np.asarray(t), n, False) for n, t in enumerate(p)]
-                rr = [_pack(np.asarray(t), n, False) for n, t in enumerate(r)]
+                pp = as_levels(np.concatenate([_pack(np.asarray(t), n, False) for n, t in enumerate(p)]), d, n_p)
+                rr = as_levels(np.concatenate([_pack(np.asarray(t), n, False) for n, t in enumerate(r)]), d, n_r)
                 for cap in {n_p + n_r, max(n_p, n_r)}:
                     got = multiply(pp, rr, cap, d)
                     want = product(p, r, cap, d)
