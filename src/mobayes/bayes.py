@@ -93,8 +93,13 @@ collapses to a product of scalars mu[P_block]: poisson_posterior takes
 its block functional from the same value pass with vectors mu * v_b and
 no clutter, and poisson_posterior_intensity and the partition total come
 from a scalar pass over the same plan that builds no tensor
-(_partition_sums). They share the plan, _levels and finite_pp.multiply
-with the engine, so they are not independent oracles.
+(_partition_sums). They take the engine's one numeric path: each block's
+vector and its scalar mu[P_block] carry the per-label power-of-two scale
+of _functional, with the scalars as the peaks, and the log evidence comes
+through the same frexp step as the update's (_log_scaled), so partition
+totals far outside the double range stay exact. They share the plan,
+_levels and finite_pp.multiply with the engine, so they are not
+independent oracles.
 """
 
 from __future__ import annotations
@@ -642,6 +647,13 @@ def _positive(evidence: float, Z: MeasurementSet) -> float:
     return evidence
 
 
+def _log_scaled(value: float, shift: int) -> float:
+    """log(value * 2^shift) from frexp, so the scaled value may lie far
+    below the smallest double or above the largest."""
+    mantissa, exponent = math.frexp(value)
+    return math.log(mantissa) + (exponent + shift) * math.log(2.0)
+
+
 def _sorted_indices(prior, kernel, clutter, Z: MeasurementSet) -> tuple[int, ...]:
     _check_update_spaces(prior, kernel, clutter)
     return tuple(sorted(kernel.obs_space.indices(Z)))
@@ -670,14 +682,10 @@ def posterior_partition_clutter(
     shift, ell = _likelihood(kernel, clutter, z, prune, prior.n_max)
     joint = prior.flat * ell
     evidence = _positive(float(joint @ inverse_factorials(prior.space.size, prior.n_max)), Z)
-    # log(evidence * 2^shift) from frexp, so the scaled evidence may lie far
-    # below the smallest double
-    mantissa, exponent = math.frexp(evidence)
-    log_evidence = math.log(mantissa) + (exponent + shift) * math.log(2.0)
     density = MultiObjectDensity._from_flat(
         prior.space, joint / evidence, prior.n_max, prior.truncation_mass
     )
-    return Posterior(density, density.intensity_vector(), log_evidence)
+    return Posterior(density, density.intensity_vector(), _log_scaled(evidence, shift))
 
 
 def posterior_intensity_clutter(
@@ -724,18 +732,28 @@ def posterior_intensity_clutter(
 
 
 def _poisson_update(mu, kernel, Z, prune: bool):
-    """Z's plan without clutter, its group vectors, the closed-form posterior
-    intensity and the partition sum it divides by.
+    """Z's plan without clutter, its group vectors scaled by 2^-e per label,
+    the closed-form posterior intensity, and S and the partition sum 2^-S
+    times the one it divides by.
 
     M_1(x) = mu(x) * sum over partitions of [prod_i mu[P_i] * p0(x) +
     sum_i prod_(j != i) mu[P_j] * P_i(x)], normalized by the partition sum
     of plain products; _partition_sums gives both sums as f(Z) and g(Z),
     with no block divided by its mu[P_i], so zero-mass blocks stay harmless.
+    Each block's vector and scalar mu[P_b] are scaled as in _functional,
+    with the scalars as the peaks, since they bound the entries of
+    mu * P_b: every term of f(Z) and g(Z) is divided by 2^S, which the
+    intensity cancels, and a product of many block scalars stays in range.
     """
-    _, _, plan, vectors = _recursion(kernel, kernel.obs_space.indices(Z), prune, 0)
-    f, g = _partition_sums(plan, vectors @ mu, vectors)
+    _, n, plan, vectors = _recursion(kernel, kernel.obs_space.indices(Z), prune, 0)
+    s = vectors @ mu
+    exponents = _exponents(plan.members, np.append(s, 1.0))  # one empty clutter part
+    shifts = (plan.members @ exponents)[: len(s)]
+    vectors, s = np.ldexp(vectors, -shifts[:, None]), np.ldexp(s, -shifts)
+    f, g = _partition_sums(plan, s, vectors)
     total = _positive(float(f[-1]), Z)
-    return plan, vectors, mu * (total * kernel.tables[0] + g[-1]) / total, total
+    intensity = mu * (total * kernel.tables[0] + g[-1]) / total
+    return plan, vectors, intensity, int(exponents @ n), total
 
 
 def poisson_posterior(
@@ -760,7 +778,7 @@ def poisson_posterior(
     mu = _as_test_function(kernel.state_space, spec.intensity)
     n_max = _poisson_cap(spec, float(mu.sum()), n_max)
     p0 = kernel.tables[0]
-    plan, vectors, intensity, partition_total = _poisson_update(mu, kernel, Z, prune)
+    plan, vectors, intensity, shift, partition_total = _poisson_update(mu, kernel, Z, prune)
     d = kernel.state_space.size
     nu = mu * p0
     scale = math.exp(-float(nu.sum())) / partition_total
@@ -769,7 +787,7 @@ def poisson_posterior(
     flat = multiply(blocks, exp_coefficients(nu, n_max), n_max, d).flat
     density = MultiObjectDensity._from_flat(kernel.state_space, flat, n_max)
     density.truncation_mass = max(0.0, 1.0 - density.total_mass())
-    log_evidence = float(mu @ (p0 - 1.0)) + math.log(partition_total)
+    log_evidence = float(mu @ (p0 - 1.0)) + _log_scaled(partition_total, shift)
     return Posterior(density, intensity, log_evidence)
 
 

@@ -742,6 +742,32 @@ class TestPoissonClosedForms:
                 closed.log_evidence, generic.log_evidence, atol=1e-10
             )
 
+    @pytest.mark.parametrize("mu, m", [([0.02, 0.01], 200), ([30.0, 20.0], 300)])
+    def test_partition_totals_outside_the_double_range(self, mu, m):
+        """Z is m copies of u under a detect-or-miss kernel, no clutter.
+        Poisson thinning, which shares no code with the closed forms, gives
+        the intensity mu p0 + m mu r1(u|.) / lam_u and the log evidence
+        sum mu (p0 - 1) + m log lam_u, lam_u = sum_x mu(x) r1(u|x). The
+        partition total lam_u^m lies far below the smallest double in the
+        first case (log evidence about -921) and past the largest in the
+        second."""
+        X, Zs = FiniteSpace(("a", "b")), FiniteSpace(("u", "v"))
+        g = np.array([[0.9, 0.1], [0.2, 0.8]])
+        kernel = ObservationKernel.from_detection(X, Zs, [0.5, 0.5], g)
+        mu = np.array(mu)
+        p0, r1 = kernel.tables[0], kernel.tables[1][:, 0]
+        lam = float(mu @ r1)
+        intensity = mu * p0 + m * mu * r1 / lam
+        log_evidence = float(mu @ (p0 - 1.0)) + m * math.log(lam)
+        Z = ["u"] * m
+        got = poisson_posterior_intensity(PoissonSpec(mu), kernel, Z)
+        np.testing.assert_allclose(got, intensity, rtol=1e-12, atol=0)
+        post = poisson_posterior(PoissonSpec(mu), kernel, Z, n_max=3)
+        np.testing.assert_allclose(post.intensity, intensity, rtol=1e-12, atol=0)
+        assert abs(post.log_evidence - log_evidence) <= 1e-12 * abs(log_evidence)
+        # m detections need m objects: no mass within the cap of 3
+        assert not post.density.flat.any() and post.density.truncation_mass == 1.0
+
     def test_zero_evidence(self):
         sp, zs = space(2), space(2, "z")
         p_d = np.array([0.5, 0.5])
