@@ -187,10 +187,16 @@ def _density_from_spec(
         if kind == "explicit":
             tensors = spec["tensors"]
             _require(isinstance(tensors, list), f"{key}.tensors must be a list")
+            levels = [_numbers(t, f"{key}.tensors") for t in tensors]
+            # a config block is a probability density; only the library
+            # constructor takes signed entries, for unnormalized numerators
+            for n, level in enumerate(levels):
+                _require(
+                    not np.any(level < 0),
+                    f"{key}.tensors must be nonnegative, level {n} holds {float(level.min())!r}",
+                )
             return MultiObjectDensity(
-                sp,
-                [_numbers(t, f"{key}.tensors") for t in tensors],
-                symmetrize_input=_flag(spec, "symmetrize", f"{key}.symmetrize"),
+                sp, levels, symmetrize_input=_flag(spec, "symmetrize", f"{key}.symmetrize")
             )
         if kind == "none":
             return MultiObjectDensity(sp, [1.0])

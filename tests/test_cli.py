@@ -127,6 +127,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not normalized"):
             load_config(bad)
 
+    @pytest.mark.parametrize(
+        "block, field",
+        [("prior", "prior.tensors"), ("clutter", "clutter.tensors"), ("birth", "transition.birth.tensors")],
+    )
+    def test_negative_explicit_density_refused(self, block, field):
+        """An explicit density of mass 1 with a negative entry is no
+        probability density; each block that takes one refuses it by name."""
+        signed = {"kind": "explicit", "tensors": [0.5, [-0.2, 0.7]]}
+        doc = base_config()
+        if block == "birth":
+            doc["transition"] = {**doc["transition"], "birth": signed}
+        else:
+            doc[block] = signed
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_config(doc)
+
     def test_unknown_kinds(self):
         with pytest.raises(ConfigError, match="unknown kind"):
             load_config(base_config(prior={"kind": "gaussian"}))
