@@ -548,18 +548,39 @@ class MultiObjectDensity:
 
     @classmethod
     def from_json(cls, text: str) -> "MultiObjectDensity":
+        """The density of a to_json document. A document that is not a JSON
+        object with to_json's fields, each of its type (labels a list of
+        strings, n_max an integer, tensors n_max + 1 flat lists of d**n JSON
+        numbers, truncation_mass a number if present), raises ValueError
+        naming the field; nothing is coerced."""
         doc = json.loads(text)
-        space = FiniteSpace(tuple(doc["labels"]))
+        if not isinstance(doc, dict):
+            raise ValueError("a density document must be a JSON object")
+        missing = [key for key in ("labels", "n_max", "tensors") if key not in doc]
+        if missing:
+            raise ValueError(f"density document lacks {', '.join(missing)}")
+        labels, n_max, levels = doc["labels"], doc["n_max"], doc["tensors"]
+        if not (isinstance(labels, list) and all(type(s) is str for s in labels)):
+            raise ValueError("labels must be a list of strings")
+        if type(n_max) is not int or n_max < 0:
+            raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
+        _check_axes(n_max)
+        if not isinstance(levels, list) or len(levels) != n_max + 1:
+            raise ValueError(f"tensors must be a list of n_max + 1 = {n_max + 1} levels")
+        mass = doc.get("truncation_mass", 0.0)
+        if type(mass) not in (int, float):
+            raise ValueError(f"truncation_mass must be a number, got {mass!r}")
+        space = FiniteSpace(tuple(labels))
         d = space.size
-        tensors = [
-            np.asarray(flat, dtype=float).reshape((d,) * n)
-            for n, flat in enumerate(doc["tensors"])
-        ]
-        if len(tensors) != doc["n_max"] + 1:
-            raise ValueError("tensor count disagrees with n_max")
-        return cls(
-            space, tensors, truncation_mass=float(doc.get("truncation_mass", 0.0))
-        )
+        for n, level in enumerate(levels):
+            if not (
+                isinstance(level, list)
+                and len(level) == d**n
+                and all(type(v) in (int, float) for v in level)
+            ):
+                raise ValueError(f"tensors[{n}] must be a list of {d}**{n} numbers")
+        tensors = [np.asarray(level, dtype=float).reshape((d,) * n) for n, level in enumerate(levels)]
+        return cls(space, tensors, truncation_mass=mass)
 
 
 def _as_test_function(space: FiniteSpace, psi: np.ndarray | Sequence[float]) -> np.ndarray:

@@ -187,6 +187,41 @@ class TestMultiObjectDensity:
         # serialization is canonical, so a second trip is byte-identical
         assert Q.to_json() == P.to_json()
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda doc: [doc], "JSON object"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "n_max"}, "n_max"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "labels"}, "labels"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "tensors"}, "tensors"),
+            (lambda doc: {**doc, "labels": "ab"}, "labels"),
+            (lambda doc: {**doc, "labels": ["a", 2]}, "labels"),
+            (lambda doc: {**doc, "n_max": 2.0}, "n_max"),
+            (lambda doc: {**doc, "n_max": True}, "n_max"),
+            (lambda doc: {**doc, "n_max": MAX_TENSOR_AXES + 1}, "n_max"),
+            (lambda doc: {**doc, "n_max": 1}, "tensors"),
+            (lambda doc: with_level(doc, 2, doc["tensors"][2][:-1]), r"tensors\[2\]"),
+            (lambda doc: with_level(doc, 1, [0.5, [0.5]]), r"tensors\[1\]"),
+            (lambda doc: with_level(doc, 1, ["1", 0.5]), r"tensors\[1\]"),
+            (lambda doc: with_level(doc, 0, [True]), r"tensors\[0\]"),
+            (lambda doc: {**doc, "truncation_mass": "0"}, "truncation_mass"),
+        ],
+    )
+    def test_from_json_names_the_bad_field(self, change, field):
+        """A malformed document raises ValueError naming its field: no raw
+        KeyError or TypeError, no numpy reshape error and no coercion of a
+        string or a bool into a number."""
+        doc = json.loads(random_density(np.random.default_rng(15), space(2), 2).to_json())
+        with pytest.raises(ValueError, match=field):
+            MultiObjectDensity.from_json(json.dumps(change(doc)))
+
+
+def with_level(doc, n, level):
+    """A copy of a to_json document with level n of its tensors replaced."""
+    tensors = list(doc["tensors"])
+    tensors[n] = level
+    return {**doc, "tensors": tensors}
+
 
 class TestEvaluate:
     def test_normalized_at_ones(self):
