@@ -28,6 +28,7 @@ from mobayes import (
 )
 from mobayes.finite_pp import (
     MAX_TENSOR_AXES,
+    _bin,
     _is_symmetric,
     _level,
     _locate,
@@ -691,6 +692,20 @@ class TestPackedKernels:
                     assert len(got) == cap + 1
                     for k, (g, w) in enumerate(zip(got, want)):
                         assert_close(_unpack(g, d, k), symmetrize(w))
+
+    def test_bin_adds_each_bin_in_index_order(self):
+        """_bin adds each bin's terms in index order, row by row, as a plain
+        loop does, so batching rows changes no bit of the kernels' sums or
+        of the update's levels; a 1-D input is one row."""
+        rng = np.random.default_rng(245)
+        index = rng.integers(0, 4, 60)
+        weights = rng.normal(size=(3, 60))
+        want = np.zeros((3, 4))
+        for r in range(3):
+            for j, b in enumerate(index):
+                want[r, b] += weights[r, j]
+        np.testing.assert_array_equal(_bin(index, weights, 4), want)
+        np.testing.assert_array_equal(_bin(index, weights[1], 4), want[1])
 
     def test_linear_products_match_outer_products(self):
         rng = np.random.default_rng(240)
