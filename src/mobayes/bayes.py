@@ -510,11 +510,11 @@ def _levels(plan: _Plan, vectors: np.ndarray, values: np.ndarray, top: int) -> _
     finite_pp.times_linear and one bincount of the transposed rows
     (finite_pp._bin), which adds in input order, each state's pairs in
     their fixed order. Blocks whose vector is zero, those past m_max when
-    not pruning, therefore add exact zeros. Only
-    pairs whose rest can be nonzero at level k - 1, of k - 1 to
-    (k - 1) * (largest block) labels, are taken, in chunks of about
-    CHUNK_ENTRIES row entries cut at state boundaries: each state's sum
-    stays in one chunk, in the same order, so chunking changes no bit.
+    not pruning, therefore add exact zeros. Only pairs whose rest can be
+    nonzero at level k - 1, of k - 1 to (k - 1) * (largest block) labels,
+    are taken, in chunks of about CHUNK_ENTRIES row entries cut at state
+    boundaries: each state's sum stays in one chunk, in the same order, so
+    chunking changes no bit.
     """
     count, d = len(plan.sizes), vectors.shape[1]
     cap = plan.blocks[-1].shape[1] if plan.blocks else 0

@@ -24,8 +24,8 @@ variations of a functional at a base test function, pairings() their
 values at given increments, and substitute() the functional at a linear
 map of its argument, which applies a matrix on every axis of each level.
 The kernels take and return levels as as_levels() views and read their
-flat array, so a density's reads and the kernels are flat passes. The index
-tables walk the levels as a tree (each multiset followed by its
+flat array, so a density's reads and the kernels are flat passes. The
+index tables walk the levels as a tree (each multiset followed by its
 extensions), so none sorts and none grows with the square of a level.
 tensors/tensor(n) is a dense (d,)*n view, unpacked on first access and
 cached, for JSON I/O, sampling and the oracles; evaluate()
@@ -579,7 +579,7 @@ class MultiObjectDensity:
                 and all(type(v) in (int, float) for v in level)
             ):
                 raise ValueError(f"tensors[{n}] must be a list of {d}**{n} numbers")
-        tensors = [np.asarray(level, dtype=float).reshape((d,) * n) for n, level in enumerate(levels)]
+        tensors = [np.asarray(lv, dtype=float).reshape((d,) * n) for n, lv in enumerate(levels)]
         return cls(space, tensors, truncation_mass=mass)
 
 
@@ -832,8 +832,9 @@ def pairings(
 
     products holds level k on d points, one row per term. With level = D_k
     and rows of products of k linear functionals (times_linear, k times)
-    this is the variation along each row's increments. With free=True, level is D_(k+1) and one index stays open:
-    entry [i, x] pairs row i with D_(k+1) shifted by e_x.
+    this is the variation along each row's increments. With free=True,
+    level is D_(k+1) and one index stays open: entry [i, x] pairs row i
+    with D_(k+1) shifted by e_x.
     """
     weighted = products * _level(d, k).inv_fact
     if free:

@@ -129,7 +129,11 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "block, field",
-        [("prior", "prior.tensors"), ("clutter", "clutter.tensors"), ("birth", "transition.birth.tensors")],
+        [
+            ("prior", "prior.tensors"),
+            ("clutter", "clutter.tensors"),
+            ("birth", "transition.birth.tensors"),
+        ],
     )
     def test_negative_explicit_density_refused(self, block, field):
         """An explicit density of mass 1 with a negative entry is no

@@ -610,6 +610,12 @@ def random_symmetric(rng, d, n):
     return symmetrize(rng.normal(size=(d,) * n))
 
 
+def packed_levels(dense, d):
+    """The dense levels 0..n packed, as the as_levels views the kernels take."""
+    flat = np.concatenate([_pack(np.asarray(t), n, False) for n, t in enumerate(dense)])
+    return as_levels(flat, d, len(dense) - 1)
+
+
 def linear_products(vectors):
     """Level k of prod_i v_i[h], one row per term of a (terms, k, d) stack:
     times_linear chained k times from the constant 1."""
@@ -684,8 +690,7 @@ class TestPackedKernels:
                     continue
                 p = [rng.normal()] + [random_symmetric(rng, d, n) for n in range(1, n_p + 1)]
                 r = [rng.normal()] + [random_symmetric(rng, d, n) for n in range(1, n_r + 1)]
-                pp = as_levels(np.concatenate([_pack(np.asarray(t), n, False) for n, t in enumerate(p)]), d, n_p)
-                rr = as_levels(np.concatenate([_pack(np.asarray(t), n, False) for n, t in enumerate(r)]), d, n_r)
+                pp, rr = packed_levels(p, d), packed_levels(r, d)
                 for cap in {n_p + n_r, max(n_p, n_r)}:
                     got = multiply(pp, rr, cap, d)
                     want = product(p, r, cap, d)

@@ -148,7 +148,7 @@ def plant(fault: Fault, dest: Path) -> Path:
 def failures(output: str) -> str:
     """How many tests a pytest run failed, and the first of them."""
     lines = output.strip().splitlines()
-    failed = [line.split(" - ")[0].split()[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]
+    failed = [line.split()[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]
     if not failed:
         return lines[-1] if lines else "no output"
     return f"{len(failed)} failed, first {failed[0]}"
