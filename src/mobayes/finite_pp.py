@@ -551,8 +551,8 @@ class MultiObjectDensity:
         """The density of a to_json document. A document that is not a JSON
         object with to_json's fields, each of its type (labels a list of
         strings, n_max an integer, tensors n_max + 1 flat lists of d**n JSON
-        numbers, truncation_mass a number if present), raises ValueError
-        naming the field; nothing is coerced."""
+        numbers, truncation_mass a finite number >= 0 if present), raises
+        ValueError naming the field; nothing is coerced."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("a density document must be a JSON object")
@@ -568,8 +568,8 @@ class MultiObjectDensity:
         if not isinstance(levels, list) or len(levels) != n_max + 1:
             raise ValueError(f"tensors must be a list of n_max + 1 = {n_max + 1} levels")
         mass = doc.get("truncation_mass", 0.0)
-        if type(mass) not in (int, float):
-            raise ValueError(f"truncation_mass must be a number, got {mass!r}")
+        if type(mass) not in (int, float) or not 0 <= mass < math.inf:
+            raise ValueError(f"truncation_mass must be a finite number >= 0, got {mass!r}")
         space = FiniteSpace(tuple(labels))
         d = space.size
         for n, level in enumerate(levels):

@@ -206,6 +206,8 @@ class TestMultiObjectDensity:
             (lambda doc: with_level(doc, 1, ["1", 0.5]), r"tensors\[1\]"),
             (lambda doc: with_level(doc, 0, [True]), r"tensors\[0\]"),
             (lambda doc: {**doc, "truncation_mass": "0"}, "truncation_mass"),
+            (lambda doc: {**doc, "truncation_mass": -1.0}, "truncation_mass"),
+            (lambda doc: {**doc, "truncation_mass": math.nan}, "truncation_mass"),
         ],
     )
     def test_from_json_names_the_bad_field(self, change, field):
