@@ -52,13 +52,14 @@ from .oracles import (
     posterior_power_series,
 )
 from .prediction import SurviveMoveBirth, predict
-from .scenario import ConfigError, RunRecord, Scenario, load_config, run, simulate
+from .scenario import ConfigError, Filter, RunRecord, Scenario, load_config, run, simulate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlackBoxFunctional",
     "ConfigError",
+    "Filter",
     "FiniteSpace",
     "MeasurementSet",
     "MultiObjectDensity",

@@ -21,12 +21,13 @@ at most n_max objects. _likelihood caches l_Z as one flat array per
 measurement set, sensor model and caps. An update is then the prior's
 flat coefficients times l_Z, elementwise; the evidence is that product
 dotted with 1/alpha!, and the posterior is the product over the
-evidence. A warm update calls no finite_pp.derivatives, pairings or
-multiply. The engine never indexes the packed layout. There is one
-numeric path: every measurement label carries an exact power-of-two
-scale, so W and l_Z are stored as 2^-S L and 2^-S l_Z with an integer S,
-and evidences far below the smallest double neither underflow nor need a
-log-sum-exp; the posterior does not depend on S. The posterior carries
+evidence (_update_flat, which scenario.Filter calls too). A warm update
+calls no finite_pp.derivatives, pairings or multiply. The engine never
+indexes the packed layout. There is one numeric path: every measurement
+label carries an exact power-of-two scale, so W and l_Z are stored as
+2^-S L and 2^-S l_Z with an integer S, and evidences far below the
+smallest double neither underflow nor need a log-sum-exp; the posterior
+does not depend on S. The posterior carries
 the prior's truncation_mass, so mass dropped at earlier caps is not
 forgotten.
 
@@ -654,9 +655,25 @@ def _log_scaled(value: float, shift: int) -> float:
     return math.log(mantissa) + (exponent + shift) * math.log(2.0)
 
 
-def _sorted_indices(prior, kernel, clutter, Z: MeasurementSet) -> tuple[int, ...]:
-    _check_update_spaces(prior, kernel, clutter)
-    return tuple(sorted(kernel.obs_space.indices(Z)))
+def _update_flat(
+    flat: np.ndarray,
+    n_max: int,
+    kernel: ObservationKernel,
+    clutter: MultiObjectDensity | None,
+    Z: MeasurementSet,
+    prune: bool = True,
+) -> tuple[np.ndarray, float]:
+    """The posterior's flat coefficients and the log evidence of Z, for the
+    prior's flat coefficients of levels 0..n_max on the kernel's state
+    space: the prior times the Janossy likelihood l_Z (_likelihood), over
+    the evidence sum_alpha prior(alpha) l_Z(alpha) / alpha!. The spaces are
+    the caller's to check."""
+    z = tuple(sorted(kernel.obs_space.indices(Z)))
+    shift, ell = _likelihood(kernel, clutter, z, prune, n_max)
+    joint = flat * ell
+    d = kernel.state_space.size
+    evidence = _positive(float(joint @ inverse_factorials(d, n_max)), Z)
+    return joint / evidence, _log_scaled(evidence, shift)
 
 
 def posterior_partition_clutter(
@@ -678,14 +695,10 @@ def posterior_partition_clutter(
     computed density; posterior_intensity_clutter evaluates the same
     quantity from the partition sum directly.
     """
-    z = _sorted_indices(prior, kernel, clutter, Z)
-    shift, ell = _likelihood(kernel, clutter, z, prune, prior.n_max)
-    joint = prior.flat * ell
-    evidence = _positive(float(joint @ inverse_factorials(prior.space.size, prior.n_max)), Z)
-    density = MultiObjectDensity._from_flat(
-        prior.space, joint / evidence, prior.n_max, prior.truncation_mass
-    )
-    return Posterior(density, density.intensity_vector(), _log_scaled(evidence, shift))
+    _check_update_spaces(prior, kernel, clutter)
+    flat, log_evidence = _update_flat(prior.flat, prior.n_max, kernel, clutter, Z, prune)
+    density = MultiObjectDensity._from_flat(prior.space, flat, prior.n_max, prior.truncation_mass)
+    return Posterior(density, density.intensity_vector(), log_evidence)
 
 
 def posterior_intensity_clutter(
@@ -708,7 +721,8 @@ def posterior_intensity_clutter(
     differentiated along e_x. So they pair D_k * B_k, shifted by e_x, with
     every multiset of level k - 1.
     """
-    z = _sorted_indices(prior, kernel, clutter, Z)
+    _check_update_spaces(prior, kernel, clutter)
+    z = tuple(sorted(kernel.obs_space.indices(Z)))
     _, levels = _functional(kernel, clutter, z, prune, prior.n_max)
     p0 = kernel.tables[0]
     d = p0.size

@@ -76,23 +76,34 @@ class FiniteSpace:
             raise ValueError("space needs at least one point")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be distinct")
+        positions = {label: i for i, label in enumerate(self.labels)}
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def index(self, point: str | int) -> int:
+        """The position of a label, or an int (or numpy integer, not a
+        bool) position checked against the size; anything else, such as a
+        float or None, raises KeyError naming the point."""
         if isinstance(point, str):
             try:
-                return self.labels.index(point)
-            except ValueError:
+                return self._positions[point]
+            except KeyError:
                 raise KeyError(f"unknown label {point!r}") from None
-        idx = int(point)
-        if not 0 <= idx < self.size:
-            raise KeyError(f"index {idx} outside space of size {self.size}")
-        return idx
+        if isinstance(point, (int, np.integer)) and not isinstance(point, bool):
+            idx = int(point)
+            if not 0 <= idx < self.size:
+                raise KeyError(f"index {idx} outside space of size {self.size}")
+            return idx
+        raise KeyError(f"point {point!r} is neither a label nor an integer index")
 
     def indices(self, points: Iterable[str | int]) -> tuple[int, ...]:
+        """index() of each point; a bare string raises ValueError, since
+        reading it as one label per character is never meant."""
+        if isinstance(points, str):
+            raise ValueError(f"points must be a collection of labels, not the string {points!r}")
         return tuple(self.index(p) for p in points)
 
     def dirac(self, point: str | int) -> np.ndarray:
@@ -400,6 +411,25 @@ def as_levels(flat: np.ndarray, d: int, n: int) -> _Levels:
     return _Levels(flat, _offsets(d, n))
 
 
+def cardinality(flat: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The cardinality distribution of levels 0..n on d points, flat: sum
+    over alpha of c(alpha)/alpha! per level, in one pass."""
+    return np.add.reduceat(flat * inverse_factorials(d, n), _offsets(d, n)[:-1])
+
+
+def intensity(flat: np.ndarray, d: int, n: int) -> np.ndarray:
+    """First factorial moment of levels 0..n on d points, flat: M_1 = sum
+    over alpha of c(alpha) alpha/alpha!.
+
+    With alpha = beta + e_x, alpha_x/alpha! = 1/beta!, so M_1(x) sums
+    c(beta + e_x)/beta! over the beta of levels 0..n - 1: one gather of
+    the flat array and one product with 1/beta!.
+    """
+    if n == 0:
+        return np.zeros(d)
+    return inverse_factorials(d, n - 1) @ flat[_grow(d, n - 1)]
+
+
 class MultiObjectDensity:
     """Truncated coefficients of a multi-object generating functional.
 
@@ -509,12 +539,9 @@ class MultiObjectDensity:
         return float(self.cardinality_distribution().sum())
 
     def cardinality_distribution(self) -> np.ndarray:
-        """sum over alpha of c(alpha)/alpha! per level, read-only, computed on
-        first use in one pass over the flat array."""
+        """cardinality() of the flat array, read-only, computed on first use."""
         if self._cardinality is None:
-            off = _offsets(self.space.size, self.n_max)
-            weighted = self.flat * inverse_factorials(self.space.size, self.n_max)
-            self._cardinality = _frozen(np.add.reduceat(weighted, off[:-1]))
+            self._cardinality = _frozen(cardinality(self.flat, self.space.size, self.n_max))
         return self._cardinality
 
     def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
@@ -526,16 +553,8 @@ class MultiObjectDensity:
         )
 
     def intensity_vector(self) -> np.ndarray:
-        """First factorial moment, M_1 = sum over alpha of c(alpha) alpha/alpha!.
-
-        With alpha = beta + e_x, alpha_x/alpha! = 1/beta!, so M_1(x) sums
-        c(beta + e_x)/beta! over the beta of levels 0..n_max - 1: one gather
-        of the flat array and one product with 1/beta!.
-        """
-        d, n = self.space.size, self.n_max
-        if n == 0:
-            return np.zeros(d)
-        return inverse_factorials(d, n - 1) @ self.flat[_grow(d, n - 1)]
+        """First factorial moment: intensity() of the flat array."""
+        return intensity(self.flat, self.space.size, self.n_max)
 
     def to_json(self) -> str:
         doc = {

@@ -24,7 +24,9 @@ identity, one row per unit vector through the kernels' leading row axis,
 and keeps it read-only; each later propagate is one matrix-vector
 product, and a posterior with a smaller cap uses the first columns, since
 its levels are a prefix of the layout. Past OPERATOR_BYTES the model keeps no operator
-and runs the composition on every call. This is the scenario path.
+and runs the composition on every call. propagate_flat does this on flat
+coefficients, for scenario.Filter, and propagate wraps its result in a
+density; _checked_drop is the drop check both predict and the Filter run.
 
 predict runs any model with space, m_max and propagate; the explicit
 Chapman-Kolmogorov tables it is checked against (oracles.TransitionModel,
@@ -40,6 +42,7 @@ import numpy as np
 
 from .finite_pp import (
     NORMALIZATION_TOL,
+    FiniteSpace,
     MultiObjectDensity,
     TruncationOverflow,
     _as_test_function,
@@ -129,16 +132,45 @@ class SurviveMoveBirth:
             self._operator = _frozen(np.ascontiguousarray(self.composition(unit).T))
         return self._operator
 
-    def propagate(self, posterior: MultiObjectDensity) -> MultiObjectDensity:
-        """The prediction, capped at n_max: M x for the posterior's flat
-        coefficients x, whose levels are a prefix of M's columns, or the
-        composition past the operator budget."""
+    def propagate_flat(self, flat: np.ndarray, n_max: int) -> np.ndarray:
+        """Levels 0..self.n_max of the prediction of the flat coefficients x
+        of levels 0..n_max: M x, x's levels being a prefix of M's columns,
+        or the composition past the operator budget."""
         M = self.operator()
         if M is None:
-            flat = self.composition(posterior.packed)
-        else:
-            flat = M[:, : posterior.flat.size] @ posterior.flat
+            return self.composition(as_levels(flat, self.space.size, n_max))
+        return M[:, : flat.size] @ flat
+
+    def propagate(self, posterior: MultiObjectDensity) -> MultiObjectDensity:
+        """The prediction, capped at n_max (propagate_flat)."""
+        flat = self.propagate_flat(posterior.flat, posterior.n_max)
         return MultiObjectDensity._from_flat(self.space, flat, self.n_max)
+
+
+def _check_model(space: FiniteSpace, n_max: int, model) -> None:
+    """Refuse a model on another space, or one whose tables accept fewer
+    objects than n_max."""
+    if space.labels != model.space.labels:
+        raise ValueError("posterior and transition model live on different spaces")
+    if n_max > model.m_max:
+        raise ValueError(
+            f"transition tables accept at most {model.m_max} objects,"
+            f" posterior allows {n_max}"
+        )
+
+
+def _checked_drop(before: float, after: float, max_dropped: float) -> float:
+    """The mass a prediction dropped past the cap, max(0, before - after)
+    for the total masses before and after it; TruncationOverflow if that
+    exceeds max_dropped."""
+    dropped = max(0.0, before - after)
+    if dropped > max_dropped:
+        raise TruncationOverflow(
+            f"prediction dropped {dropped:.3e} mass past the cardinality cap,"
+            f" over the {max_dropped:.1e} budget",
+            dropped,
+        )
+    return dropped
 
 
 def predict(
@@ -154,20 +186,8 @@ def predict(
     (plus whatever the inputs already carried) is recorded on the output;
     if the newly dropped part exceeds max_dropped, TruncationOverflow.
     """
-    if posterior.space.labels != model.space.labels:
-        raise ValueError("posterior and transition model live on different spaces")
-    if posterior.n_max > model.m_max:
-        raise ValueError(
-            f"transition tables accept at most {model.m_max} objects,"
-            f" posterior allows {posterior.n_max}"
-        )
+    _check_model(posterior.space, posterior.n_max, model)
     predicted = model.propagate(posterior)
-    dropped = max(0.0, posterior.total_mass() - predicted.total_mass())
-    if dropped > max_dropped:
-        raise TruncationOverflow(
-            f"prediction dropped {dropped:.3e} mass past the cardinality cap,"
-            f" over the {max_dropped:.1e} budget",
-            dropped,
-        )
+    dropped = _checked_drop(posterior.total_mass(), predicted.total_mass(), max_dropped)
     predicted.truncation_mass = posterior.truncation_mass + dropped
     return predicted

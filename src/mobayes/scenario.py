@@ -1,10 +1,17 @@
-"""Scenario configuration, simulation, and the predict/update recursion.
+"""Scenario configuration, simulation, the filter and its outputs.
 
 A scenario is one JSON document: two label lists, a prior, a per-object
 measurement kernel, a clutter process, a survive-or-die transition, a step
 count and a seed. simulate() draws ground truth and measurement sets from
 the generative model; run() feeds those measurements through the exact
 filter and writes one CSV row per step plus a JSON summary.
+
+The filter is a Filter: the belief as one flat vector of packed
+coefficients, stepped by the flat prediction (M x) and the flat update
+(the product with the cached Janossy likelihood l_Z), an HMM forward pass
+on multisets. It calls the helpers that predict and
+posterior_partition_clutter call, in their order, so its records are
+bitwise those of the one-step API, and it builds no density per step.
 
 Randomness comes from numpy's default generator (PCG64) seeded once, and
 every draw goes through a single stream in a fixed order, so outputs are
@@ -16,6 +23,7 @@ byte-identical too.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -28,9 +36,10 @@ import numpy as np
 
 from .bayes import (
     ObservationKernel,
-    Posterior,
     ZeroEvidence,
-    posterior_partition_clutter,
+    _check_update_spaces,
+    _update_flat,
+    posterior_partition_clutter,  # unused here; bench/spans.py wraps mobayes.scenario.posterior_partition_clutter
 )
 from .finite_pp import (
     MAX_TENSOR_AXES,
@@ -38,13 +47,21 @@ from .finite_pp import (
     MultiObjectDensity,
     PoissonSpec,
     TruncationOverflow,
+    _frozen,
     bernoulli,
+    cardinality,
+    intensity,
     poisson,
 )
 from .oracles import (
     build_multiplicative,  # unused here; bench/spans.py wraps mobayes.scenario.build_multiplicative
 )
-from .prediction import SurviveMoveBirth, predict
+from .prediction import (
+    SurviveMoveBirth,
+    _check_model,
+    _checked_drop,
+    predict,  # unused here; bench/spans.py wraps mobayes.scenario.predict
+)
 
 CONFIG_VERSION = 1
 # Largest coefficient tensor a Poisson block may ask for: d ** n_max entries.
@@ -343,22 +360,23 @@ def load_config(doc: dict | str | os.PathLike) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _cdf(p: np.ndarray) -> np.ndarray:
+def _cdf(p: np.ndarray) -> list[float]:
     """Generator.choice's table for the probabilities p: their cumulative
-    sums divided by the last one.
+    sums divided by the last one, as a list of floats.
 
     _draw on it returns what rng.choice(len(p), p=p) returns, by the same
-    searchsorted over one rng.random() double, so a table built once
+    right-side search over one rng.random() double, so a table built once
     serves every draw without changing the stream.
     """
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    return cdf
+    return cdf.tolist()
 
 
-def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
-    """One index drawn from a _cdf table."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _draw(rng: np.random.Generator, cdf: list[float]) -> int:
+    """One index drawn from a _cdf table: bisect_right is the comparison of
+    searchsorted(side="right"), without the numpy call."""
+    return bisect.bisect_right(cdf, rng.random())
 
 
 def _tuple_sampler(
@@ -375,7 +393,7 @@ def _tuple_sampler(
     """
     card = np.clip(density.cardinality_distribution(), 0.0, None)
     card = _cdf(card / card.sum())
-    levels: dict[int, np.ndarray] = {}
+    levels: dict[int, list[float]] = {}
 
     def draw(rng: np.random.Generator) -> tuple[int, ...]:
         n = _draw(rng, card)
@@ -398,7 +416,7 @@ def _group_sampler(
     table of groups of one size on first use; a size a state never emits
     gets none."""
     sizes = [_cdf(w / w.sum()) for w in kernel.emission_weights()]
-    groups: dict[tuple[int, int], np.ndarray] = {}
+    groups: dict[tuple[int, int], list[float]] = {}
 
     def draw(rng: np.random.Generator, x: int) -> list[int]:
         m = _draw(rng, sizes[x])
@@ -416,8 +434,8 @@ def _group_sampler(
 
 def _evolve(
     rng: np.random.Generator,
-    survival: np.ndarray,
-    moves: list[np.ndarray],
+    survival: list[float],
+    moves: list[list[float]],
     objects: tuple[int, ...],
     births: Callable[[np.random.Generator], tuple[int, ...]],
 ) -> tuple[int, ...]:
@@ -443,6 +461,7 @@ def simulate(
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
     model = scenario.transition
+    survival = model.survival.tolist()
     moves = [_cdf(column) for column in model.motion.T]
     births = _tuple_sampler(model.birth)
     clutter = _tuple_sampler(scenario.clutter)
@@ -451,7 +470,7 @@ def simulate(
     truths = [tuple(scenario.state_space.labels[i] for i in state)]
     measurement_sets: list[list[str]] = []
     for _ in range(scenario.steps):
-        state = _evolve(rng, model.survival, moves, state, births)
+        state = _evolve(rng, survival, moves, state, births)
         truths.append(tuple(scenario.state_space.labels[i] for i in state))
         z: list[int] = []
         for x in state:
@@ -466,20 +485,75 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def _record(step: int, measurements: list[str], posterior: Posterior) -> RunRecord:
-    card = posterior.density.cardinality_distribution()
-    if abs(card.sum() - 1.0) > 1e-9:
-        raise RuntimeError(
-            f"step {step}: cardinality distribution sums to {card.sum()!r}"
+class Filter:
+    """The exact filter as one flat vector, stepped by predict and update.
+
+    The belief is held as its flat packed coefficients, with the mass its
+    cardinality caps have dropped so far and its last total mass. A step
+    is the flat prediction (SurviveMoveBirth.propagate_flat: M x, or the
+    composition past OPERATOR_BYTES), the drop check of predict, a scaling
+    back to mass one and the flat update of posterior_partition_clutter
+    (the cached Janossy likelihood l_Z, one product and one dot): the
+    helpers predict and posterior_partition_clutter call, in their order,
+    so a run through a Filter is bitwise a run through those two. No
+    MultiObjectDensity or Posterior is built per step.
+    """
+
+    def __init__(
+        self,
+        prior: MultiObjectDensity,
+        transition: SurviveMoveBirth,
+        kernel: ObservationKernel,
+        clutter: MultiObjectDensity | None,
+        *,
+        max_dropped: float,
+    ):
+        _check_model(prior.space, prior.n_max, transition)
+        _check_update_spaces(prior, kernel, clutter)
+        self.transition = transition
+        self.kernel = kernel
+        self.clutter = clutter
+        self.max_dropped = max_dropped
+        self.flat = prior.flat
+        self.n_max = prior.n_max
+        self.truncation_mass = prior.truncation_mass
+        self.total_mass = prior.total_mass()
+        self.steps = 0
+
+    def step(self, z: Sequence[str]) -> RunRecord:
+        """Predict, then update on the measurement set z; the next step's
+        record. TruncationOverflow and ZeroEvidence carry that step's
+        number in .step and leave the belief as it was."""
+        k = self.steps + 1
+        d, n = self.transition.space.size, self.transition.n_max
+        predicted = self.transition.propagate_flat(self.flat, self.n_max)
+        total = float(cardinality(predicted, d, n).sum())
+        try:
+            dropped = _checked_drop(self.total_mass, total, self.max_dropped)
+        except TruncationOverflow as exc:
+            exc.step = k
+            raise
+        try:
+            flat, log_evidence = _update_flat(
+                predicted * (1.0 / total), n, self.kernel, self.clutter, z
+            )
+        except ZeroEvidence as exc:
+            exc.step = k
+            raise
+        card = cardinality(flat, d, n)
+        if abs(card.sum() - 1.0) > 1e-9:
+            raise RuntimeError(f"step {k}: cardinality distribution sums to {card.sum()!r}")
+        self.flat, self.n_max, self.steps = flat, n, k
+        self.truncation_mass += dropped
+        self.total_mass = float(card.sum())
+        return RunRecord(
+            step=k,
+            measurements=list(z),
+            log_evidence=log_evidence,
+            intensity=intensity(flat, d, n),
+            cardinality=_frozen(card),
+            truncation_mass=self.truncation_mass,
         )
-    return RunRecord(
-        step=step,
-        measurements=list(measurements),
-        log_evidence=posterior.log_evidence,
-        intensity=posterior.intensity,
-        cardinality=card,
-        truncation_mass=posterior.density.truncation_mass,
-    )
 
 
 def run(
@@ -488,49 +562,46 @@ def run(
     *,
     measurement_sets: Sequence[Sequence[str]] | None = None,
 ) -> tuple[list[RunRecord], int | None]:
-    """Alternate predict and update over the scenario horizon.
+    """Step a Filter over the scenario horizon.
 
     Measurements default to a fresh simulate() draw. Returns the records
     plus the step at which evidence hit zero (None when the run finished).
-    A TruncationOverflow from predict propagates with its step set, after
-    the outputs of the completed steps are written. Row 0 describes the
-    prior itself. When out_dir is given, writes run.csv and summary.json
-    there.
+    A TruncationOverflow from a prediction propagates with its step set,
+    after the outputs of the completed steps are written. Row 0 describes
+    the prior itself. When out_dir is given, writes run.csv and
+    summary.json there.
     """
     if measurement_sets is None:
         _, measurement_sets = simulate(scenario)
-    belief = scenario.prior
+    prior = scenario.prior
     records = [
         RunRecord(
             step=0,
             measurements=[],
             log_evidence=0.0,
-            intensity=belief.intensity_vector(),
-            cardinality=belief.cardinality_distribution(),
-            truncation_mass=belief.truncation_mass,
+            intensity=prior.intensity_vector(),
+            cardinality=prior.cardinality_distribution(),
+            truncation_mass=prior.truncation_mass,
         )
     ]
+    belief = Filter(
+        prior,
+        scenario.transition,
+        scenario.kernel,
+        scenario.clutter,
+        max_dropped=scenario.max_dropped,
+    )
     failed_step: int | None = None
     overflow: TruncationOverflow | None = None
-    for k, z in enumerate(measurement_sets, start=1):
+    for z in measurement_sets:
         try:
-            predicted = predict(
-                belief, scenario.transition, max_dropped=scenario.max_dropped
-            )
+            records.append(belief.step(z))
         except TruncationOverflow as exc:
-            exc.step = k
             overflow = exc
             break
-        predicted = predicted.scaled(1.0 / predicted.total_mass())
-        try:
-            post = posterior_partition_clutter(
-                predicted, scenario.kernel, scenario.clutter, list(z)
-            )
-        except ZeroEvidence:
-            failed_step = k
+        except ZeroEvidence as exc:
+            failed_step = exc.step
             break
-        records.append(_record(k, list(z), post))
-        belief = post.density
     if out_dir is not None:
         write_outputs(
             scenario,
@@ -569,8 +640,8 @@ def write_outputs(
     lines = [",".join(header)]
     for r in records:
         cells = [str(r.step), repr(float(r.log_evidence))]
-        cells += [repr(float(v)) for v in r.intensity]
-        cells += [repr(float(v)) for v in r.cardinality]
+        cells += map(repr, r.intensity.tolist())
+        cells += map(repr, r.cardinality.tolist())
         lines.append(",".join(cells))
     with open(os.path.join(out_dir, "run.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -402,6 +402,26 @@ class TestSimulate:
         assert drawn == chosen
         assert a.random() == b.random()
 
+    def test_draws_on_table_entries_skip_zero_probability_runs(self):
+        """A double that lands exactly on a table entry, at the end of a run
+        of zero-probability indices or at 0, draws what
+        searchsorted(side="right") draws: the next index with mass."""
+        p = np.array([0.0, 0.25, 0.0, 0.0, 0.25, 0.5, 0.0])
+        table = _cdf(p)
+        assert table == [0.0, 0.25, 0.25, 0.25, 0.5, 1.0, 1.0]
+
+        class Fixed:
+            def __init__(self, value):
+                self.value = value
+
+            def random(self):
+                return self.value
+
+        for u in (0.0, 0.25, 0.5, 0.125, 0.75, np.nextafter(1.0, 0.0)):
+            want = int(np.searchsorted(np.array(table), u, side="right"))
+            assert _draw(Fixed(u), table) == want
+            assert p[want] > 0.0
+
     def test_measurement_mean_matches_the_model(self):
         """Over many steps the measurement count must track its conditional
         expectation given the sampled truths: per object the kernel's

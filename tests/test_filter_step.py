@@ -3,14 +3,17 @@
 An update multiplies the prior's coefficients by the Janossy likelihood
 l_Z, cached per measurement set and sensor model (bayes._likelihood), and
 a prediction applies the N x N operator that SurviveMoveBirth builds once
-from its composition (prediction.OPERATOR_BYTES bounds it). These tests
-fence the warm paths off the kernels they no longer call, pin the operator
+from its composition (prediction.OPERATOR_BYTES bounds it); run steps a
+scenario.Filter, which applies both maps to one flat vector. These tests
+fence the warm paths off the kernels they no longer call, pin run's
+outputs byte for byte to a loop over the one-step API, pin the operator
 and the composition past the budget to the transition tables, pin the
 mass that the caps drop all the way to the run's log evidence, and bound
 the memory of a cold update.
 """
 
 import gc
+import json
 import math
 import time
 import tracemalloc
@@ -22,8 +25,13 @@ import mobayes.bayes
 import mobayes.finite_pp
 import mobayes.prediction
 from mobayes import (
+    Filter,
+    MultiObjectDensity,
     PoissonSpec,
+    RunRecord,
     SurviveMoveBirth,
+    TruncationOverflow,
+    ZeroEvidence,
     build_multiplicative,
     load_config,
     poisson_posterior,
@@ -31,6 +39,7 @@ from mobayes import (
     posterior_partition_clutter,
     predict,
     run,
+    simulate,
     superpose,
 )
 from mobayes.finite_pp import as_levels
@@ -41,6 +50,7 @@ from mobayes.instances import (
     space,
 )
 from mobayes.oracles import product
+from mobayes.scenario import write_outputs
 
 
 def scenario_config(d, n_max, *, steps, seed=0, birth_rate=0.15, max_dropped=0.05):
@@ -247,6 +257,155 @@ class TestPredictionOperator:
             )
         assert 8 * 286**2 > mobayes.prediction.OPERATOR_BYTES
         assert outputs[0] == outputs[1]
+
+
+def one_step_run(sc, sets, out_dir):
+    """run written out in the one-step API: predict, scaled back to mass
+    one, then posterior_partition_clutter; the outputs go through
+    write_outputs, as run's do."""
+    prior = sc.prior
+    records = [
+        RunRecord(
+            0, [], 0.0, prior.intensity_vector(), prior.cardinality_distribution(),
+            prior.truncation_mass,
+        )
+    ]
+    belief, failed, overflow = prior, None, None
+    for k, z in enumerate(sets, start=1):
+        try:
+            predicted = predict(belief, sc.transition, max_dropped=sc.max_dropped)
+        except TruncationOverflow:
+            overflow = k
+            break
+        predicted = predicted.scaled(1.0 / predicted.total_mass())
+        try:
+            post = posterior_partition_clutter(predicted, sc.kernel, sc.clutter, list(z))
+        except ZeroEvidence:
+            failed = k
+            break
+        belief = post.density
+        records.append(
+            RunRecord(
+                k, list(z), post.log_evidence, post.intensity,
+                belief.cardinality_distribution(), belief.truncation_mass,
+            )
+        )
+    write_outputs(sc, records, failed, out_dir, overflow_step=overflow)
+    return failed, overflow
+
+
+def outputs(out_dir):
+    return [(out_dir / name).read_bytes() for name in ("run.csv", "summary.json")]
+
+
+def impossible_config():
+    """d=2, n_max 2, one measurement per object and no clutter: a set of
+    five measurements has zero evidence. The caps drop mass freely."""
+    doc = scenario_config(2, 2, steps=3, seed=5, max_dropped=1.0)
+    doc["clutter"] = {"kind": "none"}
+    return doc
+
+
+class TestFilterLoop:
+    @pytest.mark.parametrize(
+        "case", ["track", "composition", "overflow", "zero evidence", "no steps"]
+    )
+    def test_run_writes_the_bytes_of_the_one_step_api(self, case, tmp_path, monkeypatch):
+        """run steps a Filter; its run.csv and summary.json are byte-equal to
+        those of the loop over predict and posterior_partition_clutter."""
+        if case == "composition":
+            monkeypatch.setattr(mobayes.prediction, "OPERATOR_BYTES", 0)
+        doc = {
+            "overflow": scenario_config(3, 2, steps=30, seed=0, max_dropped=0.02),
+            "zero evidence": impossible_config(),
+            "no steps": scenario_config(3, 5, steps=0),
+        }.get(case, scenario_config(3, 5, steps=50, seed=7))
+        sc = load_config(doc)
+        sets = simulate(sc)[1]
+        if case == "zero evidence":
+            sets = [["o0"], ["o1", "o0"], ["o0"] * 5, ["o1"]]
+        failed, overflow = one_step_run(sc, sets, tmp_path / "one_step")
+        try:
+            records, got = run(sc, tmp_path / "filter", measurement_sets=sets)
+        except TruncationOverflow as exc:
+            assert exc.step == overflow
+        else:
+            assert overflow is None and got == failed
+        assert outputs(tmp_path / "filter") == outputs(tmp_path / "one_step")
+        summary = json.loads((tmp_path / "filter" / "summary.json").read_text())
+        completed = {"overflow": 6, "zero evidence": 2, "no steps": 0}.get(case, 50)
+        assert summary["completed_steps"] == completed
+        assert summary["truncation_overflow_step"] == overflow
+        assert summary["zero_evidence_step"] == failed
+        assert (overflow, failed) == {"overflow": (7, None), "zero evidence": (None, 3)}.get(
+            case, (None, None)
+        )
+        rows = (tmp_path / "filter" / "run.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(k) for k in range(completed + 1)]
+        if case == "composition":
+            assert sc.transition.operator() is None
+
+    def test_run_builds_no_density_per_step(self, tmp_path, monkeypatch):
+        """A warm run, simulation and outputs included, builds as many
+        MultiObjectDensity objects over 10 steps as over 50."""
+        sc = load_config(scenario_config(3, 5, steps=50, seed=7))
+        run(sc, tmp_path)  # builds the operator and fills the likelihood cache
+        calls = []
+        init, from_flat = MultiObjectDensity.__init__, MultiObjectDensity._from_flat.__func__
+
+        def counted_init(self, *args, **kwargs):
+            calls.append("__init__")
+            init(self, *args, **kwargs)
+
+        def counted_from_flat(cls, *args, **kwargs):
+            calls.append("_from_flat")
+            return from_flat(cls, *args, **kwargs)
+
+        monkeypatch.setattr(MultiObjectDensity, "__init__", counted_init)
+        monkeypatch.setattr(MultiObjectDensity, "_from_flat", classmethod(counted_from_flat))
+        built = []
+        for steps in (10, 50):
+            sc.steps = steps
+            calls.clear()
+            records, failed = run(sc, tmp_path)
+            assert failed is None and len(records) == steps + 1
+            built.append(len(calls))
+        assert built[0] == built[1]
+
+    def test_failed_steps_carry_their_number_and_keep_the_belief(self):
+        """TruncationOverflow and ZeroEvidence name the step that failed and
+        leave the Filter as it was: the next step gives the record of a
+        Filter that never saw the failing set."""
+        sc = load_config(impossible_config())
+        fresh = [
+            Filter(sc.prior, sc.transition, sc.kernel, sc.clutter, max_dropped=sc.max_dropped)
+            for _ in range(2)
+        ]
+        first = fresh[0].step(["o0"])
+        assert first.step == 1 and fresh[1].step(["o0"]).log_evidence == first.log_evidence
+        belief = fresh[0]
+        flat, mass, total = belief.flat, belief.truncation_mass, belief.total_mass
+        with pytest.raises(ZeroEvidence) as exc:
+            belief.step(["o0"] * 5)
+        assert exc.value.step == 2 and belief.steps == 1
+        assert belief.flat is flat and (belief.truncation_mass, belief.total_mass) == (mass, total)
+        want, got = fresh[1].step(["o1"]), belief.step(["o1"])
+        assert got.step == want.step == 2
+        np.testing.assert_array_equal(got.intensity, want.intensity)
+        np.testing.assert_array_equal(got.cardinality, want.cardinality)
+        assert (got.log_evidence, got.truncation_mass) == (want.log_evidence, want.truncation_mass)
+        flat, belief.max_dropped = belief.flat, 0.0
+        with pytest.raises(TruncationOverflow) as exc:
+            belief.step(["o1"])
+        assert exc.value.step == 3 and belief.steps == 2 and belief.flat is flat
+
+    def test_refuses_models_on_other_spaces(self):
+        sc = load_config(scenario_config(3, 2, steps=1))
+        other = load_config(scenario_config(2, 2, steps=1))
+        with pytest.raises(ValueError, match="different spaces"):
+            Filter(other.prior, sc.transition, sc.kernel, sc.clutter, max_dropped=1.0)
+        with pytest.raises(ValueError, match="state space"):
+            Filter(sc.prior, sc.transition, other.kernel, sc.clutter, max_dropped=1.0)
 
 
 class TestMassAccounting:

@@ -9,6 +9,7 @@ itertools.product so it shares nothing with the vectorized path.
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from mobayes import (
     FiniteSpace,
     MultiObjectDensity,
+    ObservationKernel,
     PoissonSpec,
     bernoulli,
     differentiate,
@@ -23,6 +25,7 @@ from mobayes import (
     janossy,
     moment,
     poisson,
+    posterior_partition_clutter,
     scalar_product,
     superpose,
 )
@@ -79,6 +82,22 @@ class TestFiniteSpace:
         sp = FiniteSpace(("a", "b"))
         with pytest.raises(KeyError):
             sp.index("z")
+
+    def test_no_silent_coercions(self):
+        """Labels and int positions (numpy integers too) are points; a
+        float, bool or None is not, and a bare string is not a collection
+        of one-character labels, in the update either."""
+        sp = FiniteSpace(("u", "v"))
+        assert sp.index(np.int64(1)) == 1 and sp.indices(["v", 0]) == (1, 0)
+        for bad in (1.7, 0.2, True, np.bool_(False), None, np.float64(1.0), b"u"):
+            with pytest.raises(KeyError, match=re.escape(repr(bad))):
+                sp.index(bad)
+        with pytest.raises(ValueError, match="string 'uv'"):
+            sp.indices("uv")
+        prior = MultiObjectDensity(FiniteSpace(("a",)), [0.5, [0.5]])
+        kernel = ObservationKernel.from_detection(prior.space, sp, [0.5], [[0.5, 0.5]])
+        with pytest.raises(ValueError, match="string 'uv'"):
+            posterior_partition_clutter(prior, kernel, None, "uv")
 
 
 class TestSymmetrize:

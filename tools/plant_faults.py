@@ -81,10 +81,16 @@ FAULTS = [
         "density.truncation_mass = 0.0",
     ),
     Fault(
+        "filter-forgets-carried-mass",
+        "scenario.py",
+        "self.truncation_mass += dropped",
+        "self.truncation_mass = dropped",
+    ),
+    Fault(
         "run-skips-renormalization",
         "scenario.py",
-        "predicted = predicted.scaled(1.0 / predicted.total_mass())",
-        "predicted = predicted",
+        "predicted * (1.0 / total)",
+        "predicted",
     ),
     Fault(
         "exponents-floor-for-ceil",
@@ -104,10 +110,10 @@ FAULTS = [
     Fault(
         "likelihood-key-missing-cap",
         "bayes.py",
-        "shift, ell = _likelihood(kernel, clutter, z, prune, prior.n_max)",
+        "shift, ell = _likelihood(kernel, clutter, z, prune, n_max)",
         # a cache in front of _likelihood keyed without the prior's cap
         'shift, ell = vars(_likelihood).setdefault("by_z", {}).setdefault('
-        "(kernel, clutter, z, prune), _likelihood(kernel, clutter, z, prune, prior.n_max))",
+        "(kernel, clutter, z, prune), _likelihood(kernel, clutter, z, prune, n_max))",
     ),
     Fault(
         "likelihood-kept-as-view",
