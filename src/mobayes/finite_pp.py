@@ -67,13 +67,17 @@ class TruncationOverflow(RuntimeError):
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """An ordered finite set of labelled points."""
+    """An ordered finite set of points labelled by distinct strings."""
 
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if len(self.labels) == 0:
             raise ValueError("space needs at least one point")
+        for label in self.labels:
+            # index() reads an int as a position, so no label may be one
+            if not isinstance(label, str):
+                raise ValueError(f"labels must be strings, got {label!r}")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be distinct")
         positions = {label: i for i, label in enumerate(self.labels)}
@@ -579,7 +583,7 @@ class MultiObjectDensity:
         if missing:
             raise ValueError(f"density document lacks {', '.join(missing)}")
         labels, n_max, levels = doc["labels"], doc["n_max"], doc["tensors"]
-        if not (isinstance(labels, list) and all(type(s) is str for s in labels)):
+        if not isinstance(labels, list):
             raise ValueError("labels must be a list of strings")
         if type(n_max) is not int or n_max < 0:
             raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
@@ -589,7 +593,10 @@ class MultiObjectDensity:
         mass = doc.get("truncation_mass", 0.0)
         if type(mass) not in (int, float) or not 0 <= mass < math.inf:
             raise ValueError(f"truncation_mass must be a finite number >= 0, got {mass!r}")
-        space = FiniteSpace(tuple(labels))
+        try:
+            space = FiniteSpace(tuple(labels))
+        except ValueError as exc:
+            raise ValueError(f"labels: {exc}") from None
         d = space.size
         for n, level in enumerate(levels):
             if not (

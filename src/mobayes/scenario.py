@@ -30,6 +30,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -86,7 +87,7 @@ class RunRecord:
     @property
     def map_cardinality(self) -> int:
         """Most probable object count (smallest index on ties)."""
-        return int(np.argmax(self.cardinality))
+        return int(self.cardinality.argmax())
 
 
 @dataclass
@@ -379,6 +380,17 @@ def _draw(rng: np.random.Generator, cdf: list[float]) -> int:
     return bisect.bisect_right(cdf, rng.random())
 
 
+def _unravel(flat: int, shape: tuple[int, ...]) -> list[int]:
+    """The C-order index of entry flat of an array of this shape: what
+    np.unravel_index returns, from divmod without the numpy call."""
+    digits = []
+    for size in reversed(shape):
+        flat, digit = divmod(flat, size)
+        digits.append(digit)
+    digits.reverse()
+    return digits
+
+
 def _tuple_sampler(
     density: MultiObjectDensity,
 ) -> Callable[[np.random.Generator], tuple[int, ...]]:
@@ -393,6 +405,7 @@ def _tuple_sampler(
     """
     card = np.clip(density.cardinality_distribution(), 0.0, None)
     card = _cdf(card / card.sum())
+    d = density.space.size
     levels: dict[int, list[float]] = {}
 
     def draw(rng: np.random.Generator) -> tuple[int, ...]:
@@ -402,8 +415,7 @@ def _tuple_sampler(
         if n not in levels:
             weights = density.tensors[n].ravel()
             levels[n] = _cdf(weights / weights.sum())
-        flat = _draw(rng, levels[n])
-        return tuple(int(i) for i in np.unravel_index(flat, density.tensors[n].shape))
+        return tuple(_unravel(_draw(rng, levels[n]), (d,) * n))
 
     return draw
 
@@ -426,8 +438,7 @@ def _group_sampler(
         if (x, m) not in groups:
             weights = table.ravel()
             groups[x, m] = _cdf(weights / weights.sum())
-        flat = _draw(rng, groups[x, m])
-        return [int(i) for i in np.unravel_index(flat, table.shape)]
+        return _unravel(_draw(rng, groups[x, m]), table.shape)
 
     return draw
 
@@ -520,10 +531,11 @@ class Filter:
         self.total_mass = prior.total_mass()
         self.steps = 0
 
-    def step(self, z: Sequence[str]) -> RunRecord:
+    def step(self, z: Sequence[str | int]) -> RunRecord:
         """Predict, then update on the measurement set z; the next step's
-        record. TruncationOverflow and ZeroEvidence carry that step's
-        number in .step and leave the belief as it was."""
+        record, which holds the label of each point of z in input order.
+        TruncationOverflow and ZeroEvidence carry that step's number in
+        .step and leave the belief as it was."""
         k = self.steps + 1
         d, n = self.transition.space.size, self.transition.n_max
         predicted = self.transition.propagate_flat(self.flat, self.n_max)
@@ -541,14 +553,16 @@ class Filter:
             exc.step = k
             raise
         card = cardinality(flat, d, n)
-        if abs(card.sum() - 1.0) > 1e-9:
-            raise RuntimeError(f"step {k}: cardinality distribution sums to {card.sum()!r}")
+        mass = float(card.sum())
+        if abs(mass - 1.0) > 1e-9:
+            raise RuntimeError(f"step {k}: cardinality distribution sums to {mass!r}")
         self.flat, self.n_max, self.steps = flat, n, k
         self.truncation_mass += dropped
-        self.total_mass = float(card.sum())
+        self.total_mass = mass
+        obs = self.kernel.obs_space
         return RunRecord(
             step=k,
-            measurements=list(z),
+            measurements=[obs.labels[i] for i in obs.indices(z)],
             log_evidence=log_evidence,
             intensity=intensity(flat, d, n),
             cardinality=_frozen(card),
@@ -615,6 +629,50 @@ def run(
     return records, failed_step
 
 
+def _strings(items: Sequence[str], indent: int) -> str:
+    """A list of strings as json.dump writes it with indent=2, its closing
+    bracket indent spaces in."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(map(encode_basestring_ascii, items)) + pad[:-2] + "]"
+
+
+def _int_or_null(value: int | None) -> str:
+    return "null" if value is None else "%d" % value
+
+
+# summary.json as json.dump(summary, indent=2, sort_keys=True) wrote it:
+# keys in sorted order, labels through the C escaper that json.dump uses
+# with its default ensure_ascii, ints through %d and floats through
+# float.__repr__, which json writes for a finite float. Every float here is
+# finite: a log evidence comes from frexp of a positive evidence, and a
+# truncation mass is a sum of finite drops.
+_SUMMARY = """\
+{
+  "completed_steps": %(completed_steps)d,
+  "n_max": %(n_max)d,
+  "obs_labels": %(obs_labels)s,
+  "records": %(records)s,
+  "seed": %(seed)d,
+  "state_labels": %(state_labels)s,
+  "steps": %(steps)d,
+  "total_log_evidence": %(total_log_evidence)s,
+  "truncation_overflow_step": %(truncation_overflow_step)s,
+  "version": %(version)d,
+  "zero_evidence_step": %(zero_evidence_step)s
+}
+"""
+_RECORD = """\
+    {
+      "log_evidence": %(log_evidence)s,
+      "map_cardinality": %(map_cardinality)d,
+      "measurements": %(measurements)s,
+      "step": %(step)d,
+      "truncation_mass": %(truncation_mass)s
+    }"""
+
+
 def write_outputs(
     scenario: Scenario,
     records: list[RunRecord],
@@ -625,51 +683,52 @@ def write_outputs(
 ) -> None:
     """run.csv (fixed column order) and summary.json, both reproducible.
 
-    failed_step and overflow_step name the step at which evidence hit zero
-    or prediction overflowed its truncation budget; None when it did not.
-    Each summary record carries the belief's cumulative truncation_mass;
-    run.csv has no such column.
+    records start with the prior's row 0. failed_step and overflow_step
+    name the step at which evidence hit zero or prediction overflowed its
+    truncation budget; None when it did not. Each summary record carries
+    the measurement labels and the belief's cumulative truncation_mass;
+    run.csv has no such column. Both texts are built before either file
+    is opened, and each file is written in one call.
     """
-    os.makedirs(out_dir, exist_ok=True)
     labels = scenario.state_space.labels
     header = (
         ["step", "log_evidence"]
         + [f"intensity_{s}" for s in labels]
         + [f"card_{n}" for n in range(scenario.n_max + 1)]
     )
+    # repr of a Python float; numpy 2 writes np.float64(...) for its own
+    row = "%d" + ",%r" * (len(header) - 1)
     lines = [",".join(header)]
     for r in records:
-        cells = [str(r.step), repr(float(r.log_evidence))]
-        cells += map(repr, r.intensity.tolist())
-        cells += map(repr, r.cardinality.tolist())
-        lines.append(",".join(cells))
-    with open(os.path.join(out_dir, "run.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.append(
+            row % (r.step, float(r.log_evidence), *r.intensity.tolist(), *r.cardinality.tolist())
+        )
+    csv_text = "\n".join(lines) + "\n"
 
-    summary = {
-        "version": CONFIG_VERSION,
-        "seed": scenario.seed,
-        "steps": scenario.steps,
-        "state_labels": list(labels),
-        "obs_labels": list(scenario.obs_space.labels),
-        "n_max": scenario.n_max,
+    summary_text = _SUMMARY % {
         "completed_steps": len(records) - 1,
-        "zero_evidence_step": failed_step,
-        "total_log_evidence": sum(r.log_evidence for r in records),
-        "truncation_overflow_step": overflow_step,
-        "records": [
-            {
-                "step": r.step,
-                "measurements": r.measurements,
-                "log_evidence": r.log_evidence,
+        "n_max": scenario.n_max,
+        "obs_labels": _strings(scenario.obs_space.labels, 2),
+        "records": "[\n" + ",\n".join(
+            _RECORD % {
+                "log_evidence": float.__repr__(r.log_evidence),
                 "map_cardinality": r.map_cardinality,
-                "truncation_mass": r.truncation_mass,
+                "measurements": _strings(r.measurements, 6),
+                "step": r.step,
+                "truncation_mass": float.__repr__(r.truncation_mass),
             }
             for r in records
-        ],
+        ) + "\n  ]",
+        "seed": scenario.seed,
+        "state_labels": _strings(labels, 2),
+        "steps": scenario.steps,
+        "total_log_evidence": float.__repr__(sum(r.log_evidence for r in records)),
+        "truncation_overflow_step": _int_or_null(overflow_step),
+        "version": CONFIG_VERSION,
+        "zero_evidence_step": _int_or_null(failed_step),
     }
-    with open(
-        os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in (("run.csv", csv_text), ("summary.json", summary_text)):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)

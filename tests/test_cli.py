@@ -572,6 +572,20 @@ class TestOutputs:
         header = (tmp_path / "run.csv").read_text().splitlines()[0]
         assert "truncation" not in header
 
+    def test_summary_records_the_labels_of_index_points(self, tmp_path):
+        """Points given as positions, ints or numpy integers, are recorded by
+        their labels in input order; a record the writer cannot encode
+        leaves no file behind."""
+        sc = load_config(base_config(steps=2))
+        records, failed = run(sc, tmp_path, measurement_sets=[[np.int64(0), "v"], [1, 1]])
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert [r["measurements"] for r in doc["records"]] == [[], ["u", "v"], ["v", "v"]]
+        assert [r.measurements for r in records[1:]] == [["u", "v"], ["v", "v"]]
+        records[1].measurements = [np.int64(0)]
+        with pytest.raises(TypeError):
+            write_outputs(sc, records, failed, tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
+
     def test_runs_are_byte_identical(self, tmp_path):
         outs = []
         for name in ("one", "two"):

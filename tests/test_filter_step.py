@@ -50,7 +50,6 @@ from mobayes.instances import (
     space,
 )
 from mobayes.oracles import product
-from mobayes.scenario import write_outputs
 
 
 def scenario_config(d, n_max, *, steps, seed=0, birth_rate=0.15, max_dropped=0.05):
@@ -259,10 +258,62 @@ class TestPredictionOperator:
         assert outputs[0] == outputs[1]
 
 
+def reference_outputs(sc, records, failed_step, out_dir, *, overflow_step=None):
+    """run.csv and summary.json as write_outputs wrote them through the csv
+    cells of repr and json.dump(..., indent=2, sort_keys=True): the
+    reference that the one-call writer is compared against byte for byte."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    labels = sc.state_space.labels
+    header = (
+        ["step", "log_evidence"]
+        + [f"intensity_{s}" for s in labels]
+        + [f"card_{n}" for n in range(sc.n_max + 1)]
+    )
+    lines = [",".join(header)]
+    for r in records:
+        cells = [str(r.step), repr(float(r.log_evidence))]
+        cells += map(repr, r.intensity.tolist())
+        cells += map(repr, r.cardinality.tolist())
+        lines.append(",".join(cells))
+    with open(out_dir / "run.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    summary = {
+        "version": 1,
+        "seed": sc.seed,
+        "steps": sc.steps,
+        "state_labels": list(labels),
+        "obs_labels": list(sc.obs_space.labels),
+        "n_max": sc.n_max,
+        "completed_steps": len(records) - 1,
+        "zero_evidence_step": failed_step,
+        "total_log_evidence": sum(r.log_evidence for r in records),
+        "truncation_overflow_step": overflow_step,
+        "records": [
+            {
+                "step": r.step,
+                "measurements": r.measurements,
+                "log_evidence": r.log_evidence,
+                "map_cardinality": r.map_cardinality,
+                "truncation_mass": r.truncation_mass,
+            }
+            for r in records
+        ],
+    }
+    with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+# labels with a quote, a backslash, non-ASCII letters, a character past the
+# Basic Multilingual Plane and control characters, which json escapes
+AWKWARD_STATES = ['s"0', "s\\1", "s\u00e9\u2603"]
+AWKWARD_OBS = ["o\x00\n", '\u00f6"\\', "\U0001f600\t\x1f"]
+
+
 def one_step_run(sc, sets, out_dir):
     """run written out in the one-step API: predict, scaled back to mass
     one, then posterior_partition_clutter; the outputs go through
-    write_outputs, as run's do."""
+    reference_outputs."""
     prior = sc.prior
     records = [
         RunRecord(
@@ -290,7 +341,7 @@ def one_step_run(sc, sets, out_dir):
                 belief.cardinality_distribution(), belief.truncation_mass,
             )
         )
-    write_outputs(sc, records, failed, out_dir, overflow_step=overflow)
+    reference_outputs(sc, records, failed, out_dir, overflow_step=overflow)
     return failed, overflow
 
 
@@ -308,22 +359,32 @@ def impossible_config():
 
 class TestFilterLoop:
     @pytest.mark.parametrize(
-        "case", ["track", "composition", "overflow", "zero evidence", "no steps"]
+        "case",
+        [
+            "track", "composition", "overflow", "zero evidence", "no steps",
+            "awkward labels", "empty sets",
+        ],
     )
     def test_run_writes_the_bytes_of_the_one_step_api(self, case, tmp_path, monkeypatch):
         """run steps a Filter; its run.csv and summary.json are byte-equal to
-        those of the loop over predict and posterior_partition_clutter."""
+        those that the loop over predict and posterior_partition_clutter
+        writes through the csv and json.dump reference."""
         if case == "composition":
             monkeypatch.setattr(mobayes.prediction, "OPERATOR_BYTES", 0)
         doc = {
             "overflow": scenario_config(3, 2, steps=30, seed=0, max_dropped=0.02),
             "zero evidence": impossible_config(),
             "no steps": scenario_config(3, 5, steps=0),
+            "empty sets": scenario_config(3, 5, steps=6),
         }.get(case, scenario_config(3, 5, steps=50, seed=7))
-        sc = load_config(doc)
+        if case == "awkward labels":
+            doc.update(state_labels=AWKWARD_STATES, obs_labels=AWKWARD_OBS)
+        sc = load_config(json.dumps(doc))
         sets = simulate(sc)[1]
         if case == "zero evidence":
             sets = [["o0"], ["o1", "o0"], ["o0"] * 5, ["o1"]]
+        if case == "empty sets":
+            sets = [[], ["o2"], [], [], ["o0", "o0"], []]
         failed, overflow = one_step_run(sc, sets, tmp_path / "one_step")
         try:
             records, got = run(sc, tmp_path / "filter", measurement_sets=sets)
@@ -333,7 +394,9 @@ class TestFilterLoop:
             assert overflow is None and got == failed
         assert outputs(tmp_path / "filter") == outputs(tmp_path / "one_step")
         summary = json.loads((tmp_path / "filter" / "summary.json").read_text())
-        completed = {"overflow": 6, "zero evidence": 2, "no steps": 0}.get(case, 50)
+        completed = {"overflow": 6, "zero evidence": 2, "no steps": 0, "empty sets": 6}.get(
+            case, 50
+        )
         assert summary["completed_steps"] == completed
         assert summary["truncation_overflow_step"] == overflow
         assert summary["zero_evidence_step"] == failed
@@ -344,6 +407,9 @@ class TestFilterLoop:
         assert [row.split(",")[0] for row in rows] == [str(k) for k in range(completed + 1)]
         if case == "composition":
             assert sc.transition.operator() is None
+        if case == "awkward labels":
+            assert summary["obs_labels"] == AWKWARD_OBS
+            assert [r["measurements"] for r in summary["records"][1:]] == sets and any(sets)
 
     def test_run_builds_no_density_per_step(self, tmp_path, monkeypatch):
         """A warm run, simulation and outputs included, builds as many

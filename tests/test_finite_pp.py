@@ -78,6 +78,13 @@ class TestFiniteSpace:
         with pytest.raises(ValueError):
             FiniteSpace(("a", "a"))
 
+    def test_labels_must_be_strings(self):
+        """index reads an int as a position, so an int label would be read
+        as the wrong point: FiniteSpace((1, 0)).index(1) would be 1."""
+        for labels in [(1, 0), ("a", np.int64(2)), ("a", None), (b"u",)]:
+            with pytest.raises(ValueError, match="labels must be strings"):
+                FiniteSpace(labels)
+
     def test_unknown_label(self):
         sp = FiniteSpace(("a", "b"))
         with pytest.raises(KeyError):
@@ -216,6 +223,8 @@ class TestMultiObjectDensity:
             (lambda doc: {k: v for k, v in doc.items() if k != "tensors"}, "tensors"),
             (lambda doc: {**doc, "labels": "ab"}, "labels"),
             (lambda doc: {**doc, "labels": ["a", 2]}, "labels"),
+            (lambda doc: {**doc, "labels": []}, "labels"),
+            (lambda doc: {**doc, "labels": ["a", "a"]}, "labels"),
             (lambda doc: {**doc, "n_max": 2.0}, "n_max"),
             (lambda doc: {**doc, "n_max": True}, "n_max"),
             (lambda doc: {**doc, "n_max": MAX_TENSOR_AXES + 1}, "n_max"),

@@ -122,6 +122,19 @@ FAULTS = [
         # the cached l_Z a view into an array that also holds W
         "return shift, _frozen(np.concatenate([ell, levels.flat])[: ell.size])",
     ),
+    # faults in the one-call output writer
+    Fault(
+        "summary-record-keys-unsorted",
+        "scenario.py",
+        '      "measurements": %(measurements)s,\n      "step": %(step)d,\n',
+        '      "step": %(step)d,\n      "measurements": %(measurements)s,\n',
+    ),
+    Fault(
+        "summary-label-unescaped",
+        "scenario.py",
+        "map(encode_basestring_ascii, items)",
+        """map('"%s"'.__mod__, items)""",
+    ),
     # faults in the flat kernels
     Fault(
         "bin-reverses-row-order",
