@@ -635,7 +635,8 @@ def _strings(items: Sequence[str], indent: int) -> str:
     if not items:
         return "[]"
     pad = "\n" + " " * (indent + 2)
-    return "[" + pad + ("," + pad).join(map(encode_basestring_ascii, items)) + pad[:-2] + "]"
+    body = ("," + pad).join(map(encode_basestring_ascii, items))
+    return "[" + pad + body + "\n" + " " * indent + "]"
 
 
 def _int_or_null(value: int | None) -> str:
