@@ -6,7 +6,8 @@ a prediction applies the N x N operator that SurviveMoveBirth builds once
 from its composition (prediction.OPERATOR_BYTES bounds it); run steps a
 scenario.Filter, which applies both maps to one flat vector. These tests
 fence the warm paths off the kernels they no longer call, pin run's
-outputs byte for byte to a loop over the one-step API, pin the operator
+outputs byte for byte to a loop over the one-step API written through the
+json.dump reference writer, pin the operator
 and the composition past the budget to the transition tables, pin the
 mass that the caps drop all the way to the run's log evidence, and bound
 the memory of a cold update.
